@@ -10,12 +10,11 @@ grow one memo per worker.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
-from .partitions import Partition, beta_set, partition_from_beta, hook_lengths, partitions_of
+from .partitions import Partition, _cycle_type, _partition, beta_set, hook_lengths, partitions_of, rim_hooks
 
 
 def centralizer_order(rho) -> int:
@@ -52,33 +51,27 @@ _MN_MEMO: dict = {}
 def mn_character(lam, rho) -> int:
     """Character of the irreducible lam of S_m at cycle type rho (|lam| = |rho|)."""
     lam = Partition(lam)
-    rho = Partition(sorted(rho, reverse=True))
+    rho = _cycle_type(rho)
     if lam.size != rho.size:
         raise ValueError(
             "size mismatch: partition of %d against class of %d" % (lam.size, rho.size)
         )
-    return _mn(lam, tuple(rho))
+    return _mn(beta_set(lam, len(lam)), rho)
 
 
-def _mn(lam, rho):
+def _mn(beta, rho):
+    """MN recursion keyed on canonical beta-sets: one memo key per partition.
+    A value enters the memo only once complete, so a RecursionError is harmless."""
     if not rho:
         return 1
-    key = (lam, rho)
+    key = (beta, rho)
     cached = _MN_MEMO.get(key)
     if cached is not None:
         return cached
-    t, rest = rho[0], rho[1:]
-    beta = beta_set(lam, len(lam))
-    present = set(beta)
+    rest = rho[1:]
     total = 0
-    for b in beta:
-        low = b - t
-        if low < 0 or low in present:
-            continue
-        leg = sum(1 for c in beta if low < c < b)
-        rebuilt = tuple(sorted((present - {b}) | {low}, reverse=True))
-        term = _mn(partition_from_beta(rebuilt), rest)
-        total += -term if leg % 2 else term
+    for removed, sign in rim_hooks(beta, rho[0]):
+        total += sign * _mn(removed, rest)
     _MN_MEMO[key] = total
     return total
 
@@ -113,23 +106,17 @@ def product_character(p0, p1, rho) -> int:
     """
     p0 = Partition(p0)
     p1 = Partition(p1)
-    rho = Partition(sorted(rho, reverse=True))
+    rho = _cycle_type(rho)
     a, b = p0.size, p1.size
     if rho.size != a + b:
         raise ValueError(
             "size mismatch: class of %d against factors of %d and %d" % (rho.size, a, b)
         )
-    counts = Counter(rho)
+    counts = Counter(rho)  # keys in the descending order of rho
     total = Fraction(0)
     for taken in _sub_multiset_splits(counts, a):
-        left = Partition(
-            sorted((v for v in counts for _ in range(taken[v])), reverse=True)
-        )
-        right = Partition(
-            sorted(
-                (v for v in counts for _ in range(counts[v] - taken[v])), reverse=True
-            )
-        )
+        left = _partition(v for v in counts for _ in range(taken[v]))
+        right = _partition(v for v in counts for _ in range(counts[v] - taken[v]))
         total += Fraction(
             mn_character(p0, left) * mn_character(p1, right),
             centralizer_order(left) * centralizer_order(right),
@@ -147,12 +134,8 @@ def even_cycle_classes(m: int):
     odd m the same with a single fixed point appended.  Every consumer of this
     class family must go through this one generator.
     """
-    if m % 2 == 0:
-        for rho in partitions_of(m // 2):
-            yield double_class(rho)
-    else:
-        for rho in partitions_of((m - 1) // 2):
-            yield Partition(tuple(2 * v for v in rho) + (1,))
+    for rho in partitions_of(m // 2):
+        yield _partition(tuple(2 * v for v in rho) + (1,) * (m % 2))
 
 
 def character_table(m: int) -> tuple:

@@ -1,9 +1,11 @@
 """Single command-line entry point: `octachar <subcommand> ...`.
 
 Exit codes: 0 on success / verification pass, 1 on a failed verification or
-counterexample, 2 on bad arguments or malformed literals.  Randomized
-verification commands print their seed in the report header.  `--jobs` (or the
-OCTACHAR_JOBS environment variable) caps worker processes where a command
+counterexample, 2 on bad arguments, malformed literals, an empty range (a
+`sweep` or `verify` bound below 1), or a class with close to 1000 cycles (the
+character recursion takes a stack frame per cycle, and Python's recursion
+limit is 1000).  Randomized verification commands print their seed in the
+report header.  `--jobs` (default 1) caps worker processes where a command
 parallelizes over partitions.
 """
 
@@ -11,12 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .partitions import (
-    Partition,
     PartitionParseError,
     format_partition,
     parse_partition,
@@ -25,7 +25,6 @@ from .partitions import (
 from .characters import mn_character, character_table
 from .hyperoctahedral import (
     basechange,
-    format_bipartition,
     norm,
     parse_bipartition,
 )
@@ -44,16 +43,6 @@ def _jobs_value(value) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError("jobs must be at least 1")
     return jobs
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("OCTACHAR_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,12 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="signs of characters at the involution class")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs_value, default=None)
+    p.add_argument("--jobs", type=_jobs_value, default=1)
 
     p = sub.add_parser("sweep", help="exhaustive main character identity check")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_jobs_value, default=None)
+    p.add_argument("--jobs", type=_jobs_value, default=1)
 
     p = sub.add_parser("dims", help="match B_n dimensions against |character| values")
     p.add_argument("--n", type=int, required=True)
@@ -209,8 +197,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    census = sign_census(args.m, jobs=jobs)
+    census = sign_census(args.m, jobs=args.jobs)
     print(
         "%d total, %d positive, %d negative, %d zero"
         % (census.total, census.num_positive, census.num_negative, census.num_zero)
@@ -219,9 +206,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    print("sweep: max=%d seed=%d jobs=%d" % (args.max, args.seed, jobs))
-    report = main_theorem_sweep(args.max, jobs=jobs)
+    print("sweep: max=%d jobs=%d" % (args.max, args.jobs))
+    report = main_theorem_sweep(args.max, jobs=args.jobs)
     for failure in report.failures:
         print("FAIL: %s" % failure)
     print(
@@ -262,6 +248,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (PartitionParseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:  # the character recursion takes a frame per cycle of the class
+        print("error: input exceeds the recursion limit (%d)" % sys.getrecursionlimit(), file=sys.stderr)
         return 2
 
 

@@ -25,7 +25,9 @@ from .partitions import (
     format_partition,
     from_core_and_quotient,
     partitions_of,
+    _cycle_type,
     _parse_partition_at,
+    _partition,
     _skip_ws,
 )
 from .characters import mn_character, dimension, product_character
@@ -112,7 +114,7 @@ def norm(w, target: str | None = None) -> BnClass:
     even cycles otherwise; the fixed point is stripped first.  `target` may be
     "even", "odd", or None to infer from the cycle type.
     """
-    w = Partition(sorted(w, reverse=True))
+    w = _cycle_type(w)
     fixed = sum(1 for v in w if v == 1)
     if any(v % 2 and v > 1 for v in w) or fixed > 1:
         raise ValueError("norm undefined on this class: %s" % format_partition(w))
@@ -126,21 +128,20 @@ def norm(w, target: str | None = None) -> BnClass:
             "norm undefined on this class: %s is not admissible for target %r"
             % (format_partition(w), target)
         )
-    halved = Partition(v // 2 for v in w if v > 1)
+    halved = _partition(v // 2 for v in w if v > 1)
     return BnClass(halved, Partition())
 
 
 def basechange(pi: BiPartition, target: str) -> Partition:
     """The partition of 2n (target "even") or 2n+1 ("odd") whose 2-core is empty
     resp. (1) and whose 2-quotient is (p0, p1)."""
-    p0, p1 = Partition(pi[0]), Partition(pi[1])
     if target == "even":
         core = Partition()
     elif target == "odd":
         core = Partition((1,))
     else:
         raise ValueError("target must be 'even' or 'odd', got %r" % (target,))
-    return from_core_and_quotient(core, (p0, p1), 2)
+    return from_core_and_quotient(core, pi, 2)
 
 
 def bn_dimension(pi: BiPartition) -> int:
@@ -157,15 +158,9 @@ def bn_character_positive(pi: BiPartition, c: BnClass) -> int:
     irreducible to S_n is the induced product of lam(p0) and lam(p1), so this
     is exactly the induced product character at the positive cycle type.
     """
-    p0, p1 = Partition(pi[0]), Partition(pi[1])
-    pos, neg = Partition(c[0]), Partition(c[1])
-    if neg:
-        raise ValueError(
-            "class has negative cycles; use bn_character_bruteforce for those"
-        )
-    if pos.size != p0.size + p1.size:
-        raise ValueError("class of B_%d against irreducible of B_%d" % (pos.size, p0.size + p1.size))
-    return product_character(p0, p1, pos)
+    if Partition(c[1]):
+        raise ValueError("class has negative cycles; use bn_character_bruteforce for those")
+    return product_character(pi[0], pi[1], c[0])
 
 
 # -- explicit signed-permutation machinery (small-n oracle) ------------------
@@ -216,7 +211,7 @@ def bn_class_of(g) -> BnClass:
             j = abs(image) - 1
             length += 1
         (pos if sign == 1 else neg).append(length)
-    return BnClass(Partition(sorted(pos, reverse=True)), Partition(sorted(neg, reverse=True)))
+    return BnClass(_partition(sorted(pos, reverse=True)), _partition(sorted(neg, reverse=True)))
 
 
 def _class_representative(c: BnClass):
@@ -244,7 +239,7 @@ def _block_cycle_type(g, lo: int, hi: int) -> Partition:
             j = abs(g[j]) - 1
             length += 1
         lengths.append(length)
-    return Partition(sorted(lengths, reverse=True))
+    return _partition(sorted(lengths, reverse=True))
 
 
 def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:

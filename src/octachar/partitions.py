@@ -25,6 +25,8 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:  # already validated
+            return parts
         parts = tuple(parts)
         for i, v in enumerate(parts):
             if not isinstance(v, int) or v < 1:
@@ -38,15 +40,23 @@ class Partition(tuple):
         return sum(self)
 
     def conjugate(self) -> "Partition":
-        if not self:
-            return Partition()
-        return Partition(sum(1 for v in self if v > j) for j in range(self[0]))
+        return _partition(sum(1 for v in self if v > j) for j in range(self[0] if self else 0))
 
     def __repr__(self):
         return "Partition(%s)" % (list(self),)
 
     def __str__(self):
         return format_partition(self)
+
+
+def _partition(parts) -> Partition:
+    """Trusted constructor for parts the library computed itself: no validation."""
+    return tuple.__new__(Partition, parts)
+
+
+def _cycle_type(parts) -> Partition:
+    """Validated Partition from the cycle lengths of a class, given in any order."""
+    return Partition(parts if type(parts) is Partition else sorted(parts, reverse=True))
 
 
 def partitions_of(n: int):
@@ -56,7 +66,7 @@ def partitions_of(n: int):
 
     def gen(remaining, max_part, prefix):
         if remaining == 0:
-            yield Partition(prefix)
+            yield _partition(prefix)
             return
         for v in range(min(max_part, remaining), 0, -1):
             yield from gen(remaining - v, v, prefix + (v,))
@@ -76,13 +86,36 @@ def beta_set(lam, length: int) -> tuple:
 def partition_from_beta(beta) -> Partition:
     """Inverse of beta_set; beta must be strictly decreasing and non-negative."""
     beta = tuple(beta)
-    r = len(beta)
     for i, b in enumerate(beta):
         if not isinstance(b, int) or b < 0:
             raise ValueError("beta entries must be non-negative integers, got %r" % (b,))
         if i and beta[i - 1] <= b:
             raise ValueError("beta entries must be strictly decreasing, got %r" % (beta,))
-    return Partition(v for v in (beta[i] - (r - 1 - i) for i in range(r)) if v > 0)
+    r = len(beta)
+    return _partition(v for v in (beta[i] - (r - 1 - i) for i in range(r)) if v > 0)
+
+
+def rim_hooks(beta: tuple, t: int):
+    """Yield (removed, sign) for every rim hook of length t >= 1 of the partition
+    with beta-set beta: each bead move b -> b - t onto a free position, with sign
+    (-1)^leg, the leg being the beads strictly between.  `removed` is the
+    canonical beta-set of what is left: one bead per part, none at 0."""
+    for i, b in enumerate(beta):
+        low = b - t
+        if low < 0:
+            return
+        j = i + 1
+        while j < len(beta) and beta[j] > low:
+            j += 1
+        if j < len(beta) and beta[j] == low:
+            continue
+        removed = beta[:i] + beta[i + 1 : j] + (low,) + beta[j:]
+        pad = 0  # beads at 0, 1, ..., pad - 1 carry no part
+        while pad < len(removed) and removed[-1 - pad] == pad:
+            pad += 1
+        if pad:
+            removed = tuple(x - pad for x in removed[:-pad])
+        yield removed, -1 if (j - i - 1) % 2 else 1
 
 
 def hook_lengths(lam) -> list:
@@ -308,4 +341,4 @@ def _parse_partition_at(text, i):
                 i += 1
                 break
             raise PartitionParseError("expected ',' or ']' at position %d in %r" % (i, text))
-    return Partition(parts), i
+    return _partition(parts), i

@@ -192,6 +192,8 @@ class SweepFailure(Exception):
 def frobenius_sweep(max_size: int, seed: int, points_per_size: int = 5) -> int:
     """Check the power-sum expansion for every lam with |lam| <= max_size at
     seeded random points; returns the number of identities checked."""
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1, got %d" % max_size)
     rng = random.Random(seed)
     checked = 0
     for m in range(1, max_size + 1):
@@ -209,6 +211,8 @@ def frobenius_sweep(max_size: int, seed: int, points_per_size: int = 5) -> int:
 def factorization_even_sweep(max_n: int, seed: int) -> int:
     """Check the even factorization for every lam of 2n, n <= max_n, at a seeded
     mirrored point on n values; returns the number of identities checked."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1, got %d" % max_n)
     rng = random.Random(seed)
     checked = 0
     for n in range(1, max_n + 1):
@@ -229,6 +233,8 @@ def factorization_odd_sweep(max_n: int, seed: int) -> tuple:
     empty 2-core), so both branch shapes occur.  Returns (checked, branch_a,
     branch_b) with the counts of 2-core-(1) and empty-2-core cases hit.
     """
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1, got %d" % max_n)
     rng = random.Random(seed)
     checked = branch_a = branch_b = 0
     for n in range(1, max_n + 1):

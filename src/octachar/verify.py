@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import partial
 
 from .partitions import Partition, partitions_of, sign_shuffle
 from .characters import mn_character, even_cycle_classes
 from .hyperoctahedral import (
-    BiPartition,
     bipartitions_of,
     basechange,
     bn_dimension,
@@ -98,36 +98,31 @@ class SignCensus:
         return self.num_positive + self.num_negative + self.num_zero
 
 
-def _census_worker(args):
-    m, lam = args
-    return mn_character(lam, w0_class(m))
+def _map(fn, items: list, jobs: int, chunksize: int) -> list:
+    """[fn(item) for item in items], on `jobs` worker processes when jobs > 1."""
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            return pool.map(fn, items, chunksize=chunksize)
+    return [fn(item) for item in items]
 
 
 def sign_census(m: int, jobs: int = 1) -> SignCensus:
     """Counts of partitions of m with positive / negative / zero character on
     the involution class."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    lams = list(partitions_of(m))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            values = pool.map(_census_worker, [(m, lam) for lam in lams], chunksize=16)
-    else:
-        w = w0_class(m)
-        values = [mn_character(lam, w) for lam in lams]
+    values = _map(partial(mn_character, rho=w0_class(m)), list(partitions_of(m)), jobs, 16)
     pos = sum(1 for v in values if v > 0)
     neg = sum(1 for v in values if v < 0)
-    return SignCensus(m, pos, neg, len(lams) - pos - neg)
+    return SignCensus(m, pos, neg, len(values) - pos - neg)
 
 
 def dimension_match(n: int, target: str) -> bool:
     """True when B_n irreducible dimensions and the nonzero |character at the
     involution| over S_2n (or S_2n+1) agree as multisets."""
-    dims = sorted(bn_dimension(pair) for pair in bipartitions_of(n))
-    m = 2 * n if target == "even" else 2 * n + 1
     if target not in ("even", "odd"):
         raise ValueError("target must be 'even' or 'odd', got %r" % (target,))
+    m = 2 * n if target == "even" else 2 * n + 1
     w = w0_class(m)
+    dims = sorted(bn_dimension(pair) for pair in bipartitions_of(n))
     thetas = sorted(
         abs(v) for v in (mn_character(lam, w) for lam in partitions_of(m)) if v != 0
     )
@@ -180,8 +175,10 @@ def main_theorem_sweep(n_max: int, oracle_max: int = 4, jobs: int = 1) -> SweepR
     The B_n side is the induced product character; for n <= oracle_max it is
     additionally cross-checked against the explicit group-sum oracle.
     Basechange injectivity is asserted over the whole range.  Failures are
-    collected, not raised.
+    collected, not raised; an empty range (n_max < 1) raises ValueError.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1, got %d" % n_max)
     report = SweepReport(n_max=n_max)
     work = []
     for n in range(1, n_max + 1):
@@ -196,12 +193,7 @@ def main_theorem_sweep(n_max: int, oracle_max: int = 4, jobs: int = 1) -> SweepR
                     )
                 seen[lam] = pair
                 work.append((pair, target, n <= oracle_max))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            partials = pool.map(_sweep_one_bipartition, work, chunksize=8)
-    else:
-        partials = [_sweep_one_bipartition(item) for item in work]
-    for checked, oracle_checked, failures in partials:
+    for checked, oracle_checked, failures in _map(_sweep_one_bipartition, work, jobs, 8):
         report.checked += checked
         report.oracle_checked += oracle_checked
         report.failures.extend(failures)

@@ -1,5 +1,6 @@
 import pytest
 
+from octachar import characters
 from octachar.partitions import Partition, parse_partition, partitions_of
 from octachar.characters import (
     centralizer_order,
@@ -83,6 +84,13 @@ class TestMurnaghanNakayama:
         for lam in partitions_of(n):
             for rho in partitions_of(n):
                 assert mn_character(lam, rho) == oracle[lam][rho], (lam, rho)
+
+    @pytest.mark.parametrize("m, entries", [(10, 2211), (12, 7331)])
+    def test_memo_has_one_key_per_partition_and_class_suffix(self, m, entries):
+        # a memo key that is not canonical would store one partition many times
+        characters._MN_MEMO.clear()
+        character_table(m)
+        assert len(characters._MN_MEMO) == entries
 
     def test_s3_oracle_against_textbook_values(self):
         # guards the oracle itself

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from octachar.cli import main
-from octachar.partitions import parse_partition
+from octachar.partitions import format_partition, parse_partition, partitions_of
 from octachar.hyperoctahedral import parse_bipartition
 
 
@@ -143,22 +144,65 @@ class TestCensusSweepDims:
         assert code == 0
         assert out.strip() == "22 total, 10 positive, 10 negative, 2 zero"
 
-    def test_census_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("OCTACHAR_JOBS", "2")
-        code, out, _ = run(capsys, "census", "--m", "6")
-        assert code == 0
-        assert out.strip().startswith("11 total")
-
     def test_sweep(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--max", "2", "--seed", "5")
+        code, out, _ = run(capsys, "sweep", "--max", "2")
         assert code == 0
-        assert "seed=5" in out
         assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--max", "0"),
+            ("sweep", "--max", "-3"),
+            ("verify", "frobenius", "--max-size", "0"),
+            ("verify", "even-fact", "--max-size", "0"),
+            ("verify", "odd-fact", "--max-size", "-1"),
+        ],
+    )
+    def test_empty_range_is_an_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "PASS" not in out
+        assert "at least 1" in err
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "--n", "3", "--target", "odd")
         assert code == 0
         assert out.strip() == "ok: 10 dimensions match as multisets"
+
+
+def test_recursion_limit_exits_2_without_traceback(capsys):
+    code, _, err = run(capsys, "char", "[1^1200]", "[1^1200]")
+    assert code == 2
+    assert "recursion limit" in err
+    assert "Traceback" not in err
+
+
+_partition = st.integers(0, 8).flatmap(lambda n: st.sampled_from(list(partitions_of(n))))
+_literal = st.one_of(_partition.map(format_partition), st.text(alphabet="[]()|,^0123-", max_size=8))
+_target = st.sampled_from(["even", "odd"])
+_point = st.sampled_from(["1,2", "1/2,3,-1", "0,0", "x"])
+_argv = st.one_of(
+    st.tuples(st.just("char"), _literal, _literal),
+    st.tuples(st.just("basechange"), _literal.map("({}|[1])".format), st.just("--target"), _target),
+    st.tuples(st.just("norm"), _literal),
+    st.tuples(st.just("schur"), _literal, st.just("--at"), _point),
+    st.tuples(st.just("census"), st.just("--m"), st.integers(-3, 6).map(str)),
+    # sweeps beyond --max 3 take seconds each
+    st.tuples(st.just("sweep"), st.just("--max"), st.integers(-3, 3).map(str)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv)
+def test_fuzzed_arguments_never_end_in_a_traceback(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_unknown_command_fails():

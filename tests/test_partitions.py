@@ -14,6 +14,7 @@ from octachar.partitions import (
     parse_partition,
     partition_from_beta,
     partitions_of,
+    rim_hooks,
     sign_odd_parts,
     sign_shuffle,
 )
@@ -35,6 +36,10 @@ class TestPartitionType:
             Partition([2, 0])
         with pytest.raises(ValueError):
             Partition([-1])
+
+    def test_partition_is_returned_unchanged(self):
+        lam = Partition([3, 1])
+        assert Partition(lam) is lam
 
     def test_empty_is_fine(self):
         assert Partition().size == 0
@@ -104,6 +109,32 @@ class TestHooks:
                     arm = lam[i] - j - 1
                     leg = sum(1 for k in range(i + 1, len(lam)) if lam[k] > j)
                     assert hooks[i][j] == arm + leg + 1
+
+
+class TestRimHooks:
+    def test_one_result_per_cell_with_that_hook_length(self):
+        for n in range(13):
+            for lam in partitions_of(n):
+                beta = beta_set(lam, len(lam))
+                hooks = [h for row in hook_lengths(lam) for h in row]
+                for t in range(1, n + 1):
+                    results = list(rim_hooks(beta, t))
+                    assert len(results) == hooks.count(t), (lam, t)
+                    for removed, sign in results:
+                        mu = partition_from_beta(removed)
+                        assert mu.size == n - t
+                        assert removed == beta_set(mu, len(mu))  # canonical: no bead at 0
+                        assert sign in (1, -1)
+
+    def test_signs(self):
+        # [2,1] has one 3-hook with leg 1; [1^3] has one 3-hook with leg 2
+        assert list(rim_hooks(beta_set(Partition([2, 1]), 2), 3)) == [((), -1)]
+        assert list(rim_hooks(beta_set(Partition([1, 1, 1]), 3), 3)) == [((), 1)]
+        # [2,2]: the vertical domino (leg 1) leaves [1,1], the horizontal one [2]
+        assert list(rim_hooks(beta_set(Partition([2, 2]), 2), 2)) == [((2, 1), -1), ((2,), 1)]
+
+    def test_padded_input_gives_canonical_output(self):
+        assert list(rim_hooks(beta_set(Partition([2, 2]), 4), 2)) == [((2, 1), -1), ((2,), 1)]
 
 
 class TestCores:
