@@ -40,8 +40,8 @@ from .hyperoctahedral import (
     basechange,
     bipartition,
     bipartitions_of,
+    bn_character,
     bn_character_bruteforce,
-    bn_character_positive,
     bn_class,
     bn_class_of,
     bn_dimension,
@@ -74,4 +74,15 @@ from .verify import (
     w0_class,
 )
 
+from . import characters, hyperoctahedral
+
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo: S_m characters, B_n characters and the oracle's
+    per-class conjugate sums (and its element lists)."""
+    characters._MN_MEMO.clear()
+    hyperoctahedral._BN_MEMO.clear()
+    hyperoctahedral._block_conjugates.cache_clear()
+    hyperoctahedral._bn_elements.cache_clear()

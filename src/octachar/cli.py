@@ -1,10 +1,12 @@
 """Single command-line entry point: `octachar <subcommand> ...`.
 
 Exit codes: 0 on success / verification pass, 1 on a failed verification or
-counterexample, 2 on bad arguments, malformed literals, an empty range (a
-`sweep` or `verify` bound below 1), or a class with close to 1000 cycles (the
-character recursion takes a stack frame per cycle, and Python's recursion
-limit is 1000).  Randomized verification commands print their seed in the
+counterexample, 2 on bad arguments, malformed literals (including a literal
+that expands to more than 10,000 parts, `partitions.MAX_LITERAL_PARTS`), an
+empty range (a `sweep` or `verify` bound below 1, rejected before any report
+line is printed), or a class with close to 1000 cycles (the character
+recursion takes a stack frame per cycle, and Python's recursion limit is
+1000).  Randomized verification commands print their seed in the
 report header.  `--jobs` (default 1) caps worker processes where a command
 parallelizes over partitions.
 """
@@ -136,7 +138,7 @@ def _cmd_schur(args) -> int:
 def _cmd_verify(args) -> int:
     defaults = {"frobenius": 6, "even-fact": 5, "odd-fact": 4}
     bound = args.max_size if args.max_size is not None else defaults[args.what]
-    print("verify %s: max-size=%d seed=%d" % (args.what, bound, args.seed))
+    lines = ["verify %s: max-size=%d seed=%d" % (args.what, bound, args.seed)]
     try:
         if args.what == "frobenius":
             checked = frobenius_sweep(bound, args.seed)
@@ -144,12 +146,14 @@ def _cmd_verify(args) -> int:
             checked = factorization_even_sweep(bound, args.seed)
         else:
             checked, branch_a, branch_b = factorization_odd_sweep(bound, args.seed)
-            print("branches: core-(1) cases=%d, empty-core cases=%d" % (branch_a, branch_b))
+            lines.append("branches: core-(1) cases=%d, empty-core cases=%d" % (branch_a, branch_b))
+        lines.append("PASS: %d identities hold exactly" % checked)
+        code = 0
     except SweepFailure as failure:
-        print("FAIL: %s" % failure)
-        return 1
-    print("PASS: %d identities hold exactly" % checked)
-    return 0
+        lines.append("FAIL: %s" % failure)
+        code = 1
+    print("\n".join(lines))  # after the run, so a rejected bound prints nothing
+    return code
 
 
 def _table_row_object(row) -> dict:
@@ -206,8 +210,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    print("sweep: max=%d jobs=%d" % (args.max, args.jobs))
     report = main_theorem_sweep(args.max, jobs=args.jobs)
+    print("sweep: max=%d jobs=%d" % (args.max, args.jobs))  # after the run, so a rejected bound prints nothing
     for failure in report.failures:
         print("FAIL: %s" % failure)
     print(

@@ -8,6 +8,11 @@ the element's order on that cycle doubles.  Irreducibles are likewise indexed
 by bipartitions (p0, p1); the (Z/2)^n block acts trivially on the p0 factor
 and by the sign character on each Z/2 of the p1 factor.
 
+Characters are computed at every class by the type-B Murnaghan-Nakayama rule
+on the beta-sets of p0 and p1 (`bn_character`).  An independent oracle sums
+the induced character over all 2^n n! group elements (`bn_character_bruteforce`,
+n <= 6); it enumerates the conjugates of each class once.
+
 An element is stored as a tuple g of length n with g[i] = image of i+1 in
 {+-1..+-n}; the image of -(i+1) is forced to -g[i].
 """
@@ -15,6 +20,7 @@ An element is stored as a tuple g of length n with g[i] = image of i+1 in
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
@@ -29,8 +35,10 @@ from .partitions import (
     _parse_partition_at,
     _partition,
     _skip_ws,
+    beta_set,
+    rim_hooks,
 )
-from .characters import mn_character, dimension, product_character
+from .characters import mn_character, dimension
 
 
 class BiPartition(NamedTuple):
@@ -151,16 +159,43 @@ def bn_dimension(pi: BiPartition) -> int:
     return comb(n, p0.size) * dimension(p0) * dimension(p1)
 
 
-def bn_character_positive(pi: BiPartition, c: BnClass) -> int:
-    """Character of the irreducible (p0, p1) at an all-positive class.
+_BN_MEMO: dict = {}
 
-    Positive classes have representatives in S_n, and the restriction of the
-    irreducible to S_n is the induced product of lam(p0) and lam(p1), so this
-    is exactly the induced product character at the positive cycle type.
+
+def bn_character(pi: BiPartition, c: BnClass) -> int:
+    """Character of the irreducible (p0, p1) at any class, by the type-B
+    Murnaghan-Nakayama rule (Geck-Pfeiffer 2000, the MN rule for type B).
+
+    A cycle of length t removes a t-rim hook from p0 with sign (-1)^leg, or
+    one from p1 with sign (-1)^leg, negated when the cycle is negative.
     """
-    if Partition(c[1]):
-        raise ValueError("class has negative cycles; use bn_character_bruteforce for those")
-    return product_character(pi[0], pi[1], c[0])
+    p0, p1 = Partition(pi[0]), Partition(pi[1])
+    c = BnClass(Partition(c[0]), Partition(c[1]))
+    if c.n != p0.size + p1.size:
+        raise ValueError(
+            "size mismatch: class of B_%d against irreducible of B_%d" % (c.n, p0.size + p1.size)
+        )
+    cycles = tuple(c.positive) + tuple(-v for v in c.negative)
+    return _bn_mn(beta_set(p0, len(p0)), beta_set(p1, len(p1)), cycles)
+
+
+def _bn_mn(beta0, beta1, cycles):
+    """Type-B MN recursion on canonical beta-sets; cycles are lengths, negated
+    for negative cycles.  A value enters the memo only once complete."""
+    if not cycles:
+        return 1
+    key = (beta0, beta1, cycles)
+    cached = _BN_MEMO.get(key)
+    if cached is not None:
+        return cached
+    t, rest = cycles[0], cycles[1:]
+    total = 0
+    for removed, sign in rim_hooks(beta0, abs(t)):
+        total += sign * _bn_mn(removed, beta1, rest)
+    for removed, sign in rim_hooks(beta1, abs(t)):
+        total += (sign if t > 0 else -sign) * _bn_mn(beta0, removed, rest)
+    _BN_MEMO[key] = total
+    return total
 
 
 # -- explicit signed-permutation machinery (small-n oracle) ------------------
@@ -242,13 +277,32 @@ def _block_cycle_type(g, lo: int, hi: int) -> Partition:
     return _partition(sorted(lengths, reverse=True))
 
 
+@lru_cache(maxsize=None)
+def _block_conjugates(c: BnClass, a: int) -> tuple:
+    """((sign, type1, type2), count) over all 2^n n! conjugates u = t^-1 g t of
+    the class representative g that preserve the blocks 1..a and a+1..n: sign
+    is (-1)^(negative signs in the second block), type1 and type2 the cycle
+    types of the underlying permutation on the two blocks."""
+    n = c.n
+    g = _class_representative(c)
+    counts = Counter()
+    for t in _bn_elements(n):
+        u = _compose(_inverse(t), _compose(g, t))
+        if any(abs(u[i]) > a for i in range(a)):
+            continue
+        flips = sum(1 for i in range(a, n) if u[i] < 0)
+        counts[-1 if flips % 2 else 1, _block_cycle_type(u, 0, a), _block_cycle_type(u, a, n)] += 1
+    return tuple(counts.items())
+
+
 def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
     """Oracle character of the irreducible (p0, p1) at any class, by explicit
     summation of the induced character over all 2^n n! group elements.
 
     The inducing subgroup is (Z/2)^n x| (S_a x S_b) with a = |p0|, b = |p1|;
     its character at a block-preserving element is (-1)^(negative signs in the
-    second block) times the product of the block cycle-type characters.
+    second block) times the product of the block cycle-type characters.  The
+    conjugates of a class are enumerated once per a and grouped by that data.
     """
     p0, p1 = Partition(pi[0]), Partition(pi[1])
     c = BnClass(Partition(c[0]), Partition(c[1]))
@@ -258,19 +312,10 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
     if n > 6:
         raise ValueError("oracle scale exceeded: n = %d > 6" % n)
     a, b = p0.size, p1.size
-    g = _class_representative(c)
-    acc = 0
-    for t in _bn_elements(n):
-        u = _compose(_inverse(t), _compose(g, t))
-        if any(abs(u[i]) > a for i in range(a)):
-            continue
-        flips = sum(1 for i in range(a, n) if u[i] < 0)
-        chi = -1 if flips % 2 else 1
-        acc += (
-            chi
-            * mn_character(p0, _block_cycle_type(u, 0, a))
-            * mn_character(p1, _block_cycle_type(u, a, n))
-        )
+    acc = sum(
+        count * sign * mn_character(p0, type1) * mn_character(p1, type2)
+        for (sign, type1, type2), count in _block_conjugates(c, a)
+    )
     order_a = 2**n * factorial(a) * factorial(b)
     q, r = divmod(acc, order_a)
     if r:

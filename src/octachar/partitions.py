@@ -285,6 +285,9 @@ class PartitionParseError(ValueError):
     """Malformed partition literal; message carries the offending position."""
 
 
+MAX_LITERAL_PARTS = 10_000  # parts one literal may expand to, exponents included
+
+
 def parse_partition(text: str) -> Partition:
     """Parse [3,2,1^4] or [3,2,1,1,1,1]; rejects unsorted or non-positive parts."""
     parts, i = _parse_partition_at(text, _skip_ws(text, 0))
@@ -331,6 +334,10 @@ def _parse_partition_at(text, i):
             if parts and parts[-1] < value:
                 raise PartitionParseError(
                     "parts must be non-increasing at position %d in %r" % (at, text)
+                )
+            if len(parts) + count > MAX_LITERAL_PARTS:
+                raise PartitionParseError(
+                    "literal has more than %d parts at position %d" % (MAX_LITERAL_PARTS, at)
                 )
             parts.extend([value] * count)
             i = _skip_ws(text, i)

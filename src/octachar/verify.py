@@ -17,7 +17,7 @@ from .hyperoctahedral import (
     bipartitions_of,
     basechange,
     bn_dimension,
-    bn_character_positive,
+    bn_character,
     bn_character_bruteforce,
     norm,
 )
@@ -152,7 +152,7 @@ def _sweep_one_bipartition(args):
     for w in even_cycle_classes(lam.size):
         h = norm(w, target)
         lhs = mn_character(lam, w)
-        rhs_bn = bn_character_positive(pair, h)
+        rhs_bn = bn_character(pair, h)
         if lhs != eps * rhs_bn:
             failures.append(
                 "identity fails: pair=%s target=%s w=%s: %d != %d * %d"
@@ -172,8 +172,8 @@ def main_theorem_sweep(n_max: int, oracle_max: int = 4, jobs: int = 1) -> SweepR
     point, that the character of the basechanged irreducible at w equals the
     shuffle sign times the B_n character at the norm of w.
 
-    The B_n side is the induced product character; for n <= oracle_max it is
-    additionally cross-checked against the explicit group-sum oracle.
+    The B_n side is the type-B Murnaghan-Nakayama rule; for n <= oracle_max it
+    is additionally cross-checked against the explicit group-sum oracle.
     Basechange injectivity is asserted over the whole range.  Failures are
     collected, not raised; an empty range (n_max < 1) raises ValueError.
     """

@@ -1,5 +1,6 @@
 import pytest
 
+import octachar
 from octachar import characters
 from octachar.partitions import Partition, parse_partition, partitions_of
 from octachar.characters import (
@@ -88,7 +89,7 @@ class TestMurnaghanNakayama:
     @pytest.mark.parametrize("m, entries", [(10, 2211), (12, 7331)])
     def test_memo_has_one_key_per_partition_and_class_suffix(self, m, entries):
         # a memo key that is not canonical would store one partition many times
-        characters._MN_MEMO.clear()
+        octachar.clear_caches()
         character_table(m)
         assert len(characters._MN_MEMO) == entries
 

@@ -1,8 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import octachar
 from octachar.cli import main
 from octachar.partitions import format_partition, parse_partition, partitions_of
 from octachar.hyperoctahedral import parse_bipartition
@@ -162,13 +169,32 @@ class TestCensusSweepDims:
     def test_empty_range_is_an_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
-        assert "PASS" not in out
+        assert out == ""
         assert "at least 1" in err
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "--n", "3", "--target", "odd")
         assert code == 0
         assert out.strip() == "ok: 10 dimensions match as multisets"
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # an eager expansion fails, not the host
+
+
+def test_huge_exponent_is_rejected_before_expansion():
+    src = str(Path(octachar.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
+         "char", "[1^1000000000]", "[1]"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert "more than 10000 parts" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_recursion_limit_exits_2_without_traceback(capsys):

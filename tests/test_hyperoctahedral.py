@@ -2,16 +2,19 @@ import pytest
 
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
+import octachar
 from octachar.partitions import Partition, parse_partition, partitions_of, p_core, p_quotient
-from octachar.characters import mn_character
+from octachar.characters import mn_character, product_character
+from octachar import hyperoctahedral
 from octachar.hyperoctahedral import (
     BiPartition,
     basechange,
     bipartition,
     bipartitions_of,
+    bn_character,
     bn_character_bruteforce,
-    bn_character_positive,
     bn_class,
     bn_class_of,
     bn_dimension,
@@ -148,7 +151,7 @@ class TestDimensions:
         for n in range(1, 5):
             identity = bn_class([1] * n, [])
             for pair in bipartitions_of(n):
-                assert bn_character_positive(pair, identity) == bn_dimension(pair)
+                assert bn_character(pair, identity) == bn_dimension(pair)
 
 
 class TestSignedPermutations:
@@ -185,13 +188,9 @@ class TestBruteForceOracle:
             for pair in bipartitions_of(n):
                 for rho in partitions_of(n):
                     c = bn_class(rho, [])
-                    assert bn_character_positive(pair, c) == bn_character_bruteforce(
+                    assert bn_character(pair, c) == bn_character_bruteforce(
                         pair, c
                     ), (pair, c)
-
-    def test_negative_route_refused_by_positive(self):
-        with pytest.raises(ValueError, match="negative cycles"):
-            bn_character_positive(bipartition([1], [1]), bn_class([1], [1]))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_full_table_orthogonality(self, n):
@@ -213,6 +212,76 @@ class TestBruteForceOracle:
             identity = bn_class([1] * n, [])
             for pair in bipartitions_of(n):
                 assert bn_character_bruteforce(pair, identity) == bn_dimension(pair)
+
+
+def _bn_classes(n):
+    return [bn_class(pos, neg) for pos, neg in bipartitions_of(n)]
+
+
+def _bn_centralizer_order(c):
+    """prod over cycle lengths i of (2i)^a_i a_i! (2i)^b_i b_i!, with a_i and b_i
+    the numbers of positive and negative cycles of length i."""
+    order = 1
+    for cycles in (c.positive, c.negative):
+        for i, mult in Counter(cycles).items():
+            order *= (2 * i) ** mult * factorial(mult)
+    return order
+
+
+class TestMurnaghanNakayamaB:
+    def test_worked_values(self):
+        assert bn_character(((2, 1), ()), ((1, 1, 1), ())) == 2  # plain tuples are accepted
+        negative = bn_class([], [1])
+        assert bn_character(bipartition([1], []), negative) == 1
+        assert bn_character(bipartition([], [1]), negative) == -1
+        # the sign character of S_2 pulled back, twisted by the Z/2 signs
+        assert bn_character(bipartition([], [1, 1]), bn_class([], [2])) == 1
+        assert bn_character(bipartition([], [1, 1]), bn_class([2], [])) == -1
+
+    def test_matches_oracle_at_every_class(self):
+        for n in range(1, 5):
+            for pair in bipartitions_of(n):
+                for c in _bn_classes(n):
+                    assert bn_character(pair, c) == bn_character_bruteforce(pair, c), (pair, c)
+
+    def test_matches_class_fusion_at_positive_classes(self):
+        for n in range(1, 9):
+            for pair in bipartitions_of(n):
+                for rho in partitions_of(n):
+                    assert bn_character(pair, bn_class(rho, [])) == product_character(
+                        pair.p0, pair.p1, rho
+                    ), (pair, rho)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_both_orthogonality_relations(self, n):
+        pairs = list(bipartitions_of(n))
+        classes = _bn_classes(n)
+        z = {c: _bn_centralizer_order(c) for c in classes}
+        assert sum(Fraction(1, z[c]) for c in classes) == 1  # class sizes add up to |B_n|
+        table = {pair: {c: bn_character(pair, c) for c in classes} for pair in pairs}
+        for i, a in enumerate(pairs):
+            for b in pairs[i:]:
+                inner = sum(Fraction(table[a][c] * table[b][c], z[c]) for c in classes)
+                assert inner == (1 if a == b else 0), (a, b)
+        for i, c in enumerate(classes):
+            for d in classes[i:]:
+                column = sum(table[pair][c] * table[pair][d] for pair in pairs)
+                assert column == (z[c] if c == d else 0), (c, d)
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            bn_character(bipartition([2], [1]), bn_class([2], []))
+
+    def test_memo_keys_are_canonical_beta_sets(self):
+        # a bead at 0 would store one partition under several keys
+        octachar.clear_caches()
+        assert not hyperoctahedral._BN_MEMO
+        for pair in bipartitions_of(6):
+            for c in _bn_classes(6):
+                bn_character(pair, c)
+        assert hyperoctahedral._BN_MEMO
+        for beta0, beta1, _ in hyperoctahedral._BN_MEMO:
+            assert 0 not in beta0 and 0 not in beta1
 
 
 class TestBipartitionText:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octachar.partitions import (
+    MAX_LITERAL_PARTS,
     Partition,
     PartitionParseError,
     beta_set,
@@ -303,6 +304,14 @@ class TestTextFormat:
     def test_parse_error_has_position(self):
         with pytest.raises(PartitionParseError, match="position"):
             parse_partition("[2,3]")
+
+    def test_part_count_is_bounded_before_expansion(self):
+        limit = MAX_LITERAL_PARTS
+        assert len(parse_partition("[2^%d,1]" % (limit - 1))) == limit
+        assert len(parse_partition("[" + ",".join(["1"] * limit) + "]")) == limit
+        for bad in ("[1^%d]" % (limit + 1), "[2^%d,1]" % limit, "[1^1000000000]", "[" + ",".join(["1"] * (limit + 1)) + "]"):
+            with pytest.raises(PartitionParseError, match="more than %d parts" % limit):
+                parse_partition(bad)
 
     def test_roundtrip_exhaustive(self):
         for n in range(9):
