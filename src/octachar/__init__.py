@@ -74,15 +74,17 @@ from .verify import (
     w0_class,
 )
 
-from . import characters, hyperoctahedral
+from . import characters, hyperoctahedral, symfunc
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo: S_m characters, B_n characters and the oracle's
-    per-class conjugate sums (and its element lists)."""
+    """Empty every memo: S_m characters, B_n characters, the oracle's
+    per-class conjugate sums (and its element lists), and the Frobenius
+    power-sum weights kept per point."""
     characters._MN_MEMO.clear()
     hyperoctahedral._BN_MEMO.clear()
     hyperoctahedral._block_conjugates.cache_clear()
     hyperoctahedral._bn_elements.cache_clear()
+    symfunc._frobenius_weights.cache_clear()

@@ -1,11 +1,17 @@
 """Exact rational evaluation of Schur polynomials and power sums.
 
-Schur values come from the bialternant det(x_i^(lam_j + d - j)) / det(x_i^(d-j));
-both determinants go through fraction-free (Bareiss) elimination after clearing
-row denominators, so all intermediate arithmetic is on integers.  No symbolic
-polynomial ring is involved: the factorization identities are checked by
-evaluating both sides at rational points, which decides polynomial identities
-exactly when swept over seeded random points.
+Schur values come from the bialternant det(x_i^(lam_j + d - j)) / det(x_i^(d-j))
+on an integer kernel.  Writing each coordinate as x_i = a_i/b_i, the point's
+denominators are cleared once: the numerator rows are the integers
+a_i^e * b_i^(top-e), whose determinant is taken by fraction-free (Bareiss)
+elimination, and the Weyl denominator is the closed-form Vandermonde
+prod_{i<j} (a_i b_j - a_j b_i).  One Fraction is built per value.  The
+power-sum expansion takes its weights p_rho(point)/|Z(rho)| from a small cache
+that computes the power sums once per point, over one common denominator.
+No symbolic polynomial ring is involved: the factorization identities are
+checked by evaluating both sides at rational points, which decides polynomial
+identities exactly when swept over seeded random points.  `det` stays as the
+independent rational route that the tests compare the kernel against.
 
 Point constraints: the bialternant needs pairwise distinct coordinates, so the
 mirrored point (X, -X) needs the |x_i| distinct and nonzero, and (X, -X, x)
@@ -16,10 +22,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm, prod
+from functools import lru_cache
+from math import factorial, gcd, lcm, prod
 
 from .partitions import Partition, beta_set, partition_from_beta, p_core, p_quotient, partitions_of, sign_shuffle
-from .characters import centralizer_order, mn_character
+from .characters import class_size, mn_character
 
 
 def power_sum(r: int, values) -> Fraction:
@@ -35,30 +42,37 @@ def _det_int_bareiss(m: list) -> int:
     Every division below is exact (Bareiss invariant: entries stay minors of
     the original matrix), which bounds intermediate growth.
     """
-    n = len(m)
-    if n == 0:
+    rows = [list(row) for row in m]
+    if not rows:
         return 1
-    m = [row[:] for row in m]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
+    # Each step eliminates the first column and keeps only the trailing block.
+    while len(rows) > 1:
+        k = next((i for i, row in enumerate(rows) if row[0] != 0), None)
+        if k is None:
             return 0
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+        if k:
+            rows[0], rows[k] = rows[k], rows[0]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+        top = rows[0]
+        pivot = top[0]
+        rows = [
+            [(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+            for row in rows[1:]
+        ]
+        prev = pivot
+    return sign * rows[0][0]
 
 
 def det(rows) -> Fraction:
     """Exact determinant of a square matrix of rationals."""
     rows = [[Fraction(v) for v in row] for row in rows]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(
+            "determinant needs a square matrix, got row lengths %s for %d rows"
+            % ([len(row) for row in rows], len(rows))
+        )
     scale = Fraction(1)
     cleared = []
     for row in rows:
@@ -81,10 +95,25 @@ def schur_eval(lam, values) -> Fraction:
         raise ValueError("Weyl denominator vanishes: point values must be distinct")
     if d == 0:
         return Fraction(1)
+    nums = [v.numerator for v in vals]
+    dens = [v.denominator for v in vals]
     exponents = beta_set(lam, d)
-    numerator = det([[v**e for e in exponents] for v in vals])
-    denominator = det([[v**e for e in range(d - 1, -1, -1)] for v in vals])
-    return numerator / denominator
+    top = exponents[0]
+    numerator = _det_int_bareiss(
+        [[a**e * b ** (top - e) for e in exponents] for a, b in zip(nums, dens)]
+    )
+    # det(x_i^e) = numerator / prod(b)^top and the Weyl denominator is
+    # vandermonde / prod(b)^(d-1), so prod(b) is left to the power lam_1.
+    return Fraction(numerator, _vandermonde(nums, dens) * prod(dens) ** (top + 1 - d))
+
+
+def _vandermonde(nums, dens) -> int:
+    """prod_{i<j} (a_i b_j - a_j b_i): det(x_i^(d-j)) at x_i = a_i/b_i, times prod(b)^(d-1)."""
+    out = 1
+    for i, (a, b) in enumerate(zip(nums, dens)):
+        for c, e in zip(nums[i + 1 :], dens[i + 1 :]):
+            out *= a * e - c * b
+    return out
 
 
 def mirrored_point(xs) -> tuple:
@@ -106,16 +135,34 @@ def mirrored_point_plus(xs, x) -> tuple:
     return base + (x,)
 
 
+@lru_cache(maxsize=64)
+def _frobenius_weights(size: int, values: tuple) -> tuple:
+    """Weights p_rho(point)/|Z(rho)| for every rho of size, over one denominator.
+
+    Returns (((rho, w_rho), ...), denominator) with p_rho/|Z(rho)| equal to
+    w_rho / denominator.  With L the lcm of the point's denominators, p_r is
+    P_r / L^r for an integer P_r, every rho has |rho| = size, and
+    1/|Z(rho)| = class_size(rho) / size!, so w_rho = class_size(rho) * prod P_r
+    and the denominator is size! * L^size.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    cleared = [v.numerator * (scale // v.denominator) for v in values]
+    sums = [None] + [sum(c**r for c in cleared) for r in range(1, size + 1)]
+    weights = tuple(
+        (rho, class_size(rho) * prod(sums[r] for r in rho)) for rho in partitions_of(size)
+    )
+    return weights, factorial(size) * scale**size
+
+
 def verify_frobenius(lam, values) -> bool:
     """Check s_lam(point) against the power-sum expansion with character coefficients:
     sum over classes rho of chi_lam(rho)/|Z(rho)| * p_rho(point)."""
     lam = Partition(lam)
+    values = tuple(Fraction(v) for v in values)
     lhs = schur_eval(lam, values)
-    rhs = Fraction(0)
-    for rho in partitions_of(lam.size):
-        coeff = Fraction(mn_character(lam, rho), centralizer_order(rho))
-        rhs += coeff * prod((power_sum(r, values) for r in rho), start=Fraction(1))
-    return lhs == rhs
+    weights, denominator = _frobenius_weights(lam.size, values)
+    rhs = sum(mn_character(lam, rho) * w for rho, w in weights)
+    return lhs == Fraction(rhs, denominator)
 
 
 def verify_factorization_even(lam, xs) -> bool:
@@ -146,8 +193,6 @@ def verify_factorization_odd(lam, xs, x) -> bool:
     lam = Partition(lam)
     point = mirrored_point_plus(xs, x)
     d = len(point)
-    if len(lam) > d:
-        raise ValueError("too many parts: %d parts in %d variables" % (len(lam), d))
     value = schur_eval(lam, point)
 
     beta = beta_set(lam, d)
@@ -169,6 +214,16 @@ def verify_factorization_odd(lam, xs, x) -> bool:
 
 def random_rationals(count: int, rng: random.Random, max_height: int = 20) -> list:
     """Seeded nonzero rationals with distinct absolute values (height <= max_height)."""
+    # a/1 and 1/a alone give 2 * max_height - 1 values; count the rest only
+    # when a request could exceed them, so the count costs no more than the draws.
+    if count > 2 * max_height - 1:
+        span = range(1, max_height + 1)
+        available = sum(1 for a in span for b in span if gcd(a, b) == 1)
+        if count > available:
+            raise ValueError(
+                "only %d distinct absolute values a/b with 1 <= a, b <= %d, %d requested"
+                % (available, max_height, count)
+            )
     out = []
     seen = set()
     while len(out) < count:

@@ -1,12 +1,18 @@
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
+import octachar
+from octachar.characters import centralizer_order
 from octachar.partitions import Partition, parse_partition, partitions_of, p_core
 from octachar.symfunc import (
     SweepFailure,
+    _frobenius_weights,
+    _vandermonde,
     det,
     factorization_even_sweep,
     factorization_odd_sweep,
@@ -29,6 +35,22 @@ F = Fraction
 
 def P(text):
     return parse_partition(text)
+
+
+def kernel_point(d, rng):
+    """d distinct rationals of height up to 50 with a zero and a negative coordinate."""
+    values = random_rationals(d, rng, max_height=50)
+    values[0] = -abs(values[0])
+    values[-1] = F(0)
+    return values
+
+
+def bialternant(lam, values):
+    """det(x_i^e) / det(x_i^(d-j)) through the rational `det`."""
+    d = len(values)
+    exponents = [part + d - 1 - i for i, part in enumerate(tuple(lam) + (0,) * (d - len(lam)))]
+    numerator = det([[F(v) ** e for e in exponents] for v in values])
+    return numerator / det([[F(v) ** (d - 1 - j) for j in range(d)] for v in values])
 
 
 class TestPowerSums:
@@ -66,6 +88,12 @@ class TestDeterminant:
     def test_singular(self):
         assert det([[1, 2], [2, 4]]) == 0
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            det([[1, 2]])
+        with pytest.raises(ValueError, match="square"):
+            det([[1, 2], [3]])
+
 
 class TestSchurEval:
     def test_standard_rep(self):
@@ -91,15 +119,25 @@ class TestSchurEval:
         with pytest.raises(ValueError, match="Weyl denominator"):
             schur_eval(Partition([1]), [F(2), F(2)])
 
+    def test_against_rational_bialternant(self):
+        rng = random.Random(41)
+        for d in (1, 2, 3, 5, 8):
+            for _ in range(2):
+                values = kernel_point(d, rng)
+                for n in range(0, 9):
+                    for lam in partitions_of(n):
+                        if len(lam) <= d:
+                            assert schur_eval(lam, values) == bialternant(lam, values), (lam, values)
+
     def test_against_tableau_expansion(self):
         rng = random.Random(11)
         for d in (2, 3, 4):
-            values = random_rationals(d, rng, max_height=6)
-            for n in range(0, 9):
-                for lam in partitions_of(n):
-                    if len(lam) > d:
-                        continue
-                    assert schur_eval(lam, values) == schur_by_tableaux(lam, values), lam
+            for values in (random_rationals(d, rng, max_height=6), kernel_point(d, rng)):
+                for n in range(0, 9):
+                    for lam in partitions_of(n):
+                        if len(lam) > d:
+                            continue
+                        assert schur_eval(lam, values) == schur_by_tableaux(lam, values), lam
 
     def test_symmetric_under_permutation(self):
         values = [F(1), F(2), F(5, 3)]
@@ -107,6 +145,26 @@ class TestSchurEval:
         for lam in partitions_of(5):
             if len(lam) <= 3:
                 assert schur_eval(lam, values) == schur_eval(lam, swapped)
+
+
+_distinct_points = st.lists(
+    st.fractions(min_value=-50, max_value=50, max_denominator=50), min_size=1, max_size=6, unique=True
+)
+
+
+class TestIntegerKernel:
+    @given(values=_distinct_points, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_permutation_invariance_and_vandermonde(self, values, data):
+        d = len(values)
+        parts = data.draw(st.lists(st.integers(min_value=1, max_value=5), max_size=d))
+        lam = Partition(sorted(parts, reverse=True))
+        permuted = data.draw(st.permutations(values))
+        assert schur_eval(lam, values) == schur_eval(lam, permuted)
+        nums = [v.numerator for v in values]
+        dens = [v.denominator for v in values]
+        closed = F(_vandermonde(nums, dens), prod(dens) ** (d - 1))
+        assert closed == det([[v ** (d - 1 - j) for j in range(d)] for v in values])
 
 
 class TestPoints:
@@ -132,6 +190,17 @@ class TestPoints:
     def test_generator_deterministic(self):
         assert random_rationals(5, random.Random(3)) == random_rationals(5, random.Random(3))
 
+    def test_generator_rejects_more_values_than_exist(self):
+        # 255 reduced fractions a/b with 1 <= a, b <= 20
+        values = random_rationals(255, random.Random(4))
+        assert len({abs(v) for v in values}) == 255
+        with pytest.raises(ValueError, match="255 distinct"):
+            random_rationals(256, random.Random(4))
+        with pytest.raises(ValueError):
+            random_rationals(2, random.Random(4), max_height=1)
+        # a tall height is not enumerated when the request is small
+        assert len(random_rationals(3, random.Random(4), max_height=10**9)) == 3
+
 
 class TestFrobenius:
     def test_single_box(self):
@@ -142,6 +211,34 @@ class TestFrobenius:
 
     def test_sweep(self):
         assert frobenius_sweep(5, seed=0, points_per_size=3) > 0
+
+    def test_weights_are_power_sums_over_centralizers(self):
+        point = kernel_point(4, random.Random(17))
+        for n in range(0, 7):
+            weights, denominator = _frobenius_weights(n, tuple(point))
+            assert [rho for rho, _ in weights] == list(partitions_of(n))
+            for rho, w in weights:
+                p_rho = prod((power_sum(r, point) for r in rho), start=F(1))
+                assert F(w, denominator) == p_rho / centralizer_order(rho)
+
+    def test_cold_and_warm_cache_agree(self):
+        point = random_rationals(4, random.Random(23), max_height=50)
+        lams = [lam for n in range(1, 8) for lam in partitions_of(n) if len(lam) <= 4]
+        cold = []
+        for lam in lams:
+            octachar.clear_caches()
+            cold.append(verify_frobenius(lam, point))
+        octachar.clear_caches()
+        warm = [verify_frobenius(lam, point) for lam in lams]
+        info = _frobenius_weights.cache_info()
+        assert (info.misses, info.hits) == (7, len(lams) - 7)  # one miss per size
+        assert cold == warm == [True] * len(lams)
+
+    def test_clear_caches_empties_the_weights(self):
+        verify_frobenius(Partition([2, 1]), [F(1), F(2), F(3)])
+        assert _frobenius_weights.cache_info().currsize > 0
+        octachar.clear_caches()
+        assert _frobenius_weights.cache_info().currsize == 0
 
 
 class TestFactorizationEven:
@@ -170,6 +267,10 @@ class TestFactorizationOdd:
         x = F(5, 4)
         assert schur_eval(Partition([1]), (x,)) == x
         assert verify_factorization_odd(Partition([1]), [], x)
+
+    def test_too_many_parts_surfaces(self):
+        with pytest.raises(ValueError, match="too many parts: 2 parts in 1 variables"):
+            verify_factorization_odd(Partition([1, 1]), [], F(5, 4))
 
     def test_sweep_hits_both_branches(self):
         checked, branch_a, branch_b = factorization_odd_sweep(2, seed=2)
