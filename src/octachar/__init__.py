@@ -10,6 +10,7 @@ the identities tying all of these together.
 from .partitions import (
     Partition,
     PartitionParseError,
+    beta_mask,
     beta_set,
     format_partition,
     from_core_and_quotient,

@@ -2,7 +2,10 @@
 
 Conjugacy classes of S_m are identified with their cycle-type partitions.
 Character values are computed by the Murnaghan-Nakayama rim-hook recursion on
-beta-sets, memoized globally.  The memo is a plain dict of immutable keys and
+beta-set bitmasks (`partitions.beta_mask`, `partitions.rim_hooks`), memoized
+globally on (canonical mask, remaining cycles).  `character_table` encodes each
+row once and runs the recursion directly, skipping the per-value checks of
+`mn_character`.  The memo is a plain dict of immutable keys and
 values: concurrent readers and writers can only ever race on inserting the
 same value twice, so sharing it between threads is safe; process pools simply
 grow one memo per worker.
@@ -14,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
-from .partitions import Partition, _cycle_type, _partition, beta_set, hook_lengths, partitions_of, rim_hooks
+from .partitions import Partition, _cycle_type, _partition, beta_mask, hook_lengths, partitions_of, rim_hooks
 
 
 def centralizer_order(rho) -> int:
@@ -56,21 +59,21 @@ def mn_character(lam, rho) -> int:
         raise ValueError(
             "size mismatch: partition of %d against class of %d" % (lam.size, rho.size)
         )
-    return _mn(beta_set(lam, len(lam)), rho)
+    return _mn(beta_mask(lam), rho)
 
 
-def _mn(beta, rho):
-    """MN recursion keyed on canonical beta-sets: one memo key per partition.
+def _mn(mask, rho):
+    """MN recursion keyed on canonical beta-set masks: one memo key per partition.
     A value enters the memo only once complete, so a RecursionError is harmless."""
     if not rho:
         return 1
-    key = (beta, rho)
+    key = (mask, rho)
     cached = _MN_MEMO.get(key)
     if cached is not None:
         return cached
     rest = rho[1:]
     total = 0
-    for removed, sign in rim_hooks(beta, rho[0]):
+    for removed, sign in rim_hooks(mask, rho[0]):
         total += sign * _mn(removed, rest)
     _MN_MEMO[key] = total
     return total
@@ -146,5 +149,5 @@ def character_table(m: int) -> tuple:
     """
     lams = sorted(partitions_of(m))
     classes = sorted(partitions_of(m))
-    rows = [[mn_character(lam, rho) for rho in classes] for lam in lams]
+    rows = [[_mn(mask, rho) for rho in classes] for mask in map(beta_mask, lams)]
     return lams, classes, rows

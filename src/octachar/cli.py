@@ -6,7 +6,9 @@ that expands to more than 10,000 parts, `partitions.MAX_LITERAL_PARTS`), an
 empty range (a `sweep` or `verify` bound below 1, rejected before any report
 line is printed), or a class with close to 1000 cycles (the character
 recursion takes a stack frame per cycle, and Python's recursion limit is
-1000).  Randomized verification commands print their seed in the
+1000), or a `schur --at` value with more digits or a larger exponent than
+the interpreter's int/str digit limit (4300 by default), refused before it is
+built.  Randomized verification commands print their seed in the
 report header.  `--jobs` (default 1) caps worker processes where a command
 parallelizes over partitions.
 """
@@ -125,12 +127,32 @@ def _cmd_norm(args) -> int:
     return 0
 
 
+def _excerpt(text: str) -> str:
+    return repr(text if len(text) <= 40 else text[:37] + "...")
+
+
+def _point_value(tok: str) -> Fraction:
+    """One --at coordinate.  A value with more digits, or a larger exponent,
+    than the interpreter's int/str digit limit is refused before it is built:
+    its result could not be printed, and 1e200000000 would take minutes."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, _, exponent = tok.lower().partition("e")
+    exponent = "".join(c for c in exponent if c.isdigit()).lstrip("0")
+    if (
+        sum(c.isdigit() for c in mantissa) > limit
+        or len(exponent) > len(str(limit))
+        or int(exponent or 0) > limit
+    ):
+        raise PartitionParseError("point value %s exceeds %d digits" % (_excerpt(tok), limit))
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise PartitionParseError("bad point value %s" % _excerpt(tok)) from None
+
+
 def _cmd_schur(args) -> int:
     lam = parse_partition(args.lam)
-    try:
-        values = [Fraction(tok.strip()) for tok in args.at.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PartitionParseError("bad point value in %r: %s" % (args.at, exc))
+    values = [_point_value(tok.strip()) for tok in args.at.split(",") if tok.strip()]
     print(schur_eval(lam, values))
     return 0
 

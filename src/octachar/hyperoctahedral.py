@@ -9,7 +9,8 @@ by bipartitions (p0, p1); the (Z/2)^n block acts trivially on the p0 factor
 and by the sign character on each Z/2 of the p1 factor.
 
 Characters are computed at every class by the type-B Murnaghan-Nakayama rule
-on the beta-sets of p0 and p1 (`bn_character`).  An independent oracle sums
+on the beta-set bitmasks of p0 and p1 (`bn_character`); a class's cycle
+lengths may come in any order.  An independent oracle sums
 the induced character over all 2^n n! group elements (`bn_character_bruteforce`,
 n <= 6); it enumerates the conjugates of each class once.
 
@@ -35,7 +36,7 @@ from .partitions import (
     _parse_partition_at,
     _partition,
     _skip_ws,
-    beta_set,
+    beta_mask,
     rim_hooks,
 )
 from .characters import mn_character, dimension
@@ -170,30 +171,30 @@ def bn_character(pi: BiPartition, c: BnClass) -> int:
     one from p1 with sign (-1)^leg, negated when the cycle is negative.
     """
     p0, p1 = Partition(pi[0]), Partition(pi[1])
-    c = BnClass(Partition(c[0]), Partition(c[1]))
+    c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
     if c.n != p0.size + p1.size:
         raise ValueError(
             "size mismatch: class of B_%d against irreducible of B_%d" % (c.n, p0.size + p1.size)
         )
     cycles = tuple(c.positive) + tuple(-v for v in c.negative)
-    return _bn_mn(beta_set(p0, len(p0)), beta_set(p1, len(p1)), cycles)
+    return _bn_mn(beta_mask(p0), beta_mask(p1), cycles)
 
 
-def _bn_mn(beta0, beta1, cycles):
-    """Type-B MN recursion on canonical beta-sets; cycles are lengths, negated
-    for negative cycles.  A value enters the memo only once complete."""
+def _bn_mn(mask0, mask1, cycles):
+    """Type-B MN recursion on canonical beta-set masks; cycles are lengths,
+    negated for negative cycles.  A value enters the memo only once complete."""
     if not cycles:
         return 1
-    key = (beta0, beta1, cycles)
+    key = (mask0, mask1, cycles)
     cached = _BN_MEMO.get(key)
     if cached is not None:
         return cached
     t, rest = cycles[0], cycles[1:]
     total = 0
-    for removed, sign in rim_hooks(beta0, abs(t)):
-        total += sign * _bn_mn(removed, beta1, rest)
-    for removed, sign in rim_hooks(beta1, abs(t)):
-        total += (sign if t > 0 else -sign) * _bn_mn(beta0, removed, rest)
+    for removed, sign in rim_hooks(mask0, abs(t)):
+        total += sign * _bn_mn(removed, mask1, rest)
+    for removed, sign in rim_hooks(mask1, abs(t)):
+        total += (sign if t > 0 else -sign) * _bn_mn(mask0, removed, rest)
     _BN_MEMO[key] = total
     return total
 
@@ -305,7 +306,7 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
     conjugates of a class are enumerated once per a and grouped by that data.
     """
     p0, p1 = Partition(pi[0]), Partition(pi[1])
-    c = BnClass(Partition(c[0]), Partition(c[1]))
+    c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
     n = p0.size + p1.size
     if c.n != n:
         raise ValueError("class of B_%d against irreducible of B_%d" % (c.n, n))

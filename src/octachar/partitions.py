@@ -3,8 +3,11 @@
 Everything here works through beta-sets (strictly decreasing non-negative
 integers).  A partition padded with zeros to r parts corresponds to the
 beta-set {lam_i + r - i : i = 1..r}; removing a rim hook of length t is the
-bead move b -> b - t.  Padding length matters for the p-quotient and for the
-shuffle sign, so the convention is fixed once here:
+bead move b -> b - t.  The character recursions hold a beta-set as an int
+bitmask (`beta_mask`, bit b set when b is a bead), on which `rim_hooks` finds
+every move with a few shifts; cores, quotients and signs use tuples.  Padding
+length matters for the p-quotient and for the shuffle sign, so the convention
+is fixed once here:
 
   * p = 2: pad to the smallest length with the parity of |lam|.  This makes
     the 2-quotient of a partition of 2n and of its partner of 2n+1 (same
@@ -95,27 +98,30 @@ def partition_from_beta(beta) -> Partition:
     return _partition(v for v in (beta[i] - (r - 1 - i) for i in range(r)) if v > 0)
 
 
-def rim_hooks(beta: tuple, t: int):
+def beta_mask(lam) -> int:
+    """Canonical beta-set of lam as a bitmask (a Maya diagram): bit b is set when
+    b = lam_i + r - i for one of the r parts, so bit 0 is clear and () is 0."""
+    lam = Partition(lam)
+    r = len(lam)
+    mask = 0
+    for i, v in enumerate(lam):
+        mask |= 1 << (v + r - 1 - i)
+    return mask
+
+
+def rim_hooks(mask: int, t: int):
     """Yield (removed, sign) for every rim hook of length t >= 1 of the partition
-    with beta-set beta: each bead move b -> b - t onto a free position, with sign
-    (-1)^leg, the leg being the beads strictly between.  `removed` is the
-    canonical beta-set of what is left: one bead per part, none at 0."""
-    for i, b in enumerate(beta):
-        low = b - t
-        if low < 0:
-            return
-        j = i + 1
-        while j < len(beta) and beta[j] > low:
-            j += 1
-        if j < len(beta) and beta[j] == low:
-            continue
-        removed = beta[:i] + beta[i + 1 : j] + (low,) + beta[j:]
-        pad = 0  # beads at 0, 1, ..., pad - 1 carry no part
-        while pad < len(removed) and removed[-1 - pad] == pad:
-            pad += 1
-        if pad:
-            removed = tuple(x - pad for x in removed[:-pad])
-        yield removed, -1 if (j - i - 1) % 2 else 1
+    with beta-set bitmask `mask`: each bead b >= t with b - t free moves there,
+    with sign (-1)^leg, the leg being the beads strictly between.  `removed` is
+    canonical: beads at 0, 1, ..., k - 1 carry no part and are shifted out."""
+    free = (mask & ~(mask << t)) >> t  # bit j set: bead j + t can move to j
+    while free:
+        low = free & -free
+        free ^= low
+        removed = mask ^ (low << t) ^ low
+        if removed & 1:
+            removed >>= (removed ^ (removed + 1)).bit_length() - 1
+        yield removed, -1 if (mask & ((low << t) - (low << 1))).bit_count() & 1 else 1
 
 
 def hook_lengths(lam) -> list:

@@ -4,7 +4,9 @@ Nothing here shares algorithms with the library paths it checks: cores are
 recomputed by literal diagram surgery, Schur values by semistandard-tableau
 enumeration, symmetric-group characters by Young symmetrizer left ideals,
 determinants by cofactor expansion, and induced characters by summation over
-the full group.
+the full group.  Rim hooks have two reference routes: cell-by-cell diagram
+surgery, and bead moves on tuple beta-sets (the library moves beads on int
+bitmasks).
 """
 
 import itertools
@@ -112,6 +114,34 @@ def rim_hook_removals(lam, p):
         if seen == cells:
             results.append(Partition(mu))
     return results
+
+
+def mask_beads(mask):
+    """The beta-set held in a bitmask, as a strictly decreasing tuple."""
+    return tuple(b for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1)
+
+
+def rim_hooks_on_tuples(beta, t):
+    """Yield (removed, sign) for every rim hook of length t >= 1 of the partition
+    with beta-set beta (a strictly decreasing tuple): each bead move b -> b - t
+    onto a free position, with sign (-1)^leg, the leg being the beads strictly
+    between.  `removed` is canonical: one bead per part, none at 0."""
+    for i, b in enumerate(beta):
+        low = b - t
+        if low < 0:
+            return
+        j = i + 1
+        while j < len(beta) and beta[j] > low:
+            j += 1
+        if j < len(beta) and beta[j] == low:
+            continue
+        removed = beta[:i] + beta[i + 1 : j] + (low,) + beta[j:]
+        pad = 0  # beads at 0, 1, ..., pad - 1 carry no part
+        while pad < len(removed) and removed[-1 - pad] == pad:
+            pad += 1
+        if pad:
+            removed = tuple(x - pad for x in removed[:-pad])
+        yield removed, -1 if (j - i - 1) % 2 else 1
 
 
 def rim_hook_cores(lam, p):

@@ -89,6 +89,17 @@ class TestSchur:
     def test_bad_point(self, capsys):
         code, _, err = run(capsys, "schur", "[1]", "--at", "1,zebra")
         assert code == 2
+        assert "bad point value 'zebra'" in err
+
+    def test_long_bad_point_is_not_echoed(self, capsys):
+        code, _, err = run(capsys, "schur", "[1]", "--at", "1," + "x" * 5000)
+        assert code == 2
+        assert len(err) < 200
+
+    def test_point_at_the_digit_limit(self, capsys):
+        code, out, _ = run(capsys, "schur", "[1]", "--at", "9" * 4300 + "e-4299")
+        assert code == 0
+        assert out.strip() == "9" * 4300 + "/1" + "0" * 4299
 
 
 class TestVerifyCommands:
@@ -194,6 +205,23 @@ def test_huge_exponent_is_rejected_before_expansion():
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2
     assert "more than 10000 parts" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["1e20000000", "1e200000000", "1E-99999", "1/" + "3" * 5000])
+def test_huge_point_value_is_rejected_before_conversion(value):
+    src = str(Path(octachar.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
+         "schur", "[1]", "--at", "1," + value],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert "exceeds 4300 digits" in proc.stderr
+    assert len(proc.stderr) < 200  # the value is not echoed in full
     assert "Traceback" not in proc.stderr
 
 

@@ -272,6 +272,19 @@ class TestMurnaghanNakayamaB:
         with pytest.raises(ValueError, match="size mismatch"):
             bn_character(bipartition([2], [1]), bn_class([2], []))
 
+    def test_cycle_lengths_in_any_order(self):
+        pair = bipartition([2, 1], [1])
+        for route in (bn_character, bn_character_bruteforce):
+            expected = route(pair, bn_class([2, 1], [1]))
+            assert route(pair, ((1, 2), (1,))) == expected
+            assert route(pair, [[1, 2], [1]]) == expected
+        assert bn_character(bipartition([2, 1], []), ((1, 2), ())) == bn_character(
+            bipartition([2, 1], []), bn_class([2, 1], [])
+        )
+        assert bn_character(bipartition([1], [2, 1]), ((), (1, 3))) == bn_character(
+            bipartition([1], [2, 1]), bn_class([], [3, 1])
+        )
+
     def test_memo_keys_are_canonical_beta_sets(self):
         # a bead at 0 would store one partition under several keys
         octachar.clear_caches()
@@ -280,8 +293,8 @@ class TestMurnaghanNakayamaB:
             for c in _bn_classes(6):
                 bn_character(pair, c)
         assert hyperoctahedral._BN_MEMO
-        for beta0, beta1, _ in hyperoctahedral._BN_MEMO:
-            assert 0 not in beta0 and 0 not in beta1
+        for mask0, mask1, _ in hyperoctahedral._BN_MEMO:
+            assert not mask0 & 1 and not mask1 & 1
 
 
 class TestBipartitionText:

@@ -5,6 +5,7 @@ from octachar.partitions import (
     MAX_LITERAL_PARTS,
     Partition,
     PartitionParseError,
+    beta_mask,
     beta_set,
     format_partition,
     from_core_and_quotient,
@@ -20,7 +21,7 @@ from octachar.partitions import (
     sign_shuffle,
 )
 
-from oracles import rim_hook_cores
+from oracles import mask_beads, rim_hook_cores, rim_hook_removals, rim_hooks_on_tuples
 
 
 def P(text):
@@ -113,29 +114,55 @@ class TestHooks:
 
 
 class TestRimHooks:
+    def test_beta_mask(self):
+        assert beta_mask(Partition()) == 0
+        assert beta_mask(Partition([3, 1])) == 0b10010  # beta-set (4, 1)
+        for n in range(9):
+            for lam in partitions_of(n):
+                assert mask_beads(beta_mask(lam)) == beta_set(lam, len(lam))
+
     def test_one_result_per_cell_with_that_hook_length(self):
         for n in range(13):
             for lam in partitions_of(n):
-                beta = beta_set(lam, len(lam))
+                mask = beta_mask(lam)
                 hooks = [h for row in hook_lengths(lam) for h in row]
                 for t in range(1, n + 1):
-                    results = list(rim_hooks(beta, t))
+                    results = list(rim_hooks(mask, t))
                     assert len(results) == hooks.count(t), (lam, t)
+                    assert len({removed for removed, _ in results}) == len(results)
                     for removed, sign in results:
-                        mu = partition_from_beta(removed)
+                        mu = partition_from_beta(mask_beads(removed))
                         assert mu.size == n - t
-                        assert removed == beta_set(mu, len(mu))  # canonical: no bead at 0
+                        assert removed == beta_mask(mu)  # canonical: bit 0 clear
                         assert sign in (1, -1)
 
     def test_signs(self):
         # [2,1] has one 3-hook with leg 1; [1^3] has one 3-hook with leg 2
-        assert list(rim_hooks(beta_set(Partition([2, 1]), 2), 3)) == [((), -1)]
-        assert list(rim_hooks(beta_set(Partition([1, 1, 1]), 3), 3)) == [((), 1)]
+        assert list(rim_hooks(beta_mask(Partition([2, 1])), 3)) == [(0, -1)]
+        assert list(rim_hooks(beta_mask(Partition([1, 1, 1])), 3)) == [(0, 1)]
         # [2,2]: the vertical domino (leg 1) leaves [1,1], the horizontal one [2]
-        assert list(rim_hooks(beta_set(Partition([2, 2]), 2), 2)) == [((2, 1), -1), ((2,), 1)]
+        assert sorted(rim_hooks(beta_mask(Partition([2, 2])), 2)) == [(0b100, 1), (0b110, -1)]
 
     def test_padded_input_gives_canonical_output(self):
-        assert list(rim_hooks(beta_set(Partition([2, 2]), 4), 2)) == [((2, 1), -1), ((2,), 1)]
+        # beta-set (5, 4, 1, 0) is [2,2] padded to four parts
+        padded = sum(1 << b for b in beta_set(Partition([2, 2]), 4))
+        assert sorted(rim_hooks(padded, 2)) == [(0b100, 1), (0b110, -1)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 20).flatmap(lambda n: st.tuples(
+        st.sampled_from(list(partitions_of(n))), st.integers(1, max(n, 1)))))
+    def test_agrees_with_tuple_route_and_cell_surgery(self, case):
+        lam, t = case
+        got = {(partition_from_beta(mask_beads(removed)), sign) for removed, sign in rim_hooks(beta_mask(lam), t)}
+        tuples = {(partition_from_beta(removed), sign)
+                  for removed, sign in rim_hooks_on_tuples(beta_set(lam, len(lam)), t)}
+        assert got == tuples
+        # the cell route gives the partitions; the sign is (-1)^(rows of the hook - 1)
+        cells = set()
+        for mu in rim_hook_removals(lam, t):
+            rows = sum(1 for i, v in enumerate(lam) if (mu[i] if i < len(mu) else 0) < v)
+            cells.add((mu, -1 if rows % 2 == 0 else 1))
+        assert got == cells
 
 
 class TestCores:
