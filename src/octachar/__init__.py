@@ -32,6 +32,7 @@ from .characters import (
     double_class,
     even_cycle_classes,
     mn_character,
+    mn_column,
     product_character,
     sign_of_class,
 )
@@ -44,6 +45,7 @@ from .hyperoctahedral import (
     bn_character,
     bn_character_bruteforce,
     bn_class,
+    bn_column,
     bn_class_of,
     bn_dimension,
     embed_class,
@@ -75,17 +77,14 @@ from .verify import (
     w0_class,
 )
 
-from . import characters, hyperoctahedral, symfunc
+from . import hyperoctahedral, symfunc
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo: S_m characters, B_n characters, the oracle's
-    per-class conjugate sums (and its element lists), and the Frobenius
-    power-sum weights kept per point."""
-    characters._MN_MEMO.clear()
-    hyperoctahedral._BN_MEMO.clear()
-    hyperoctahedral._block_conjugates.cache_clear()
+    """Empty every cache: the oracle's per-n element lists and block sums,
+    and the Frobenius expansions kept per point.  Characters keep no memo."""
+    hyperoctahedral._block_data.cache_clear()
     hyperoctahedral._bn_elements.cache_clear()
     symfunc._frobenius_weights.cache_clear()

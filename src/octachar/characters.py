@@ -1,14 +1,12 @@
 """Exact character values of symmetric groups.
 
 Conjugacy classes of S_m are identified with their cycle-type partitions.
-Character values are computed by the Murnaghan-Nakayama rim-hook recursion on
-beta-set bitmasks (`partitions.beta_mask`, `partitions.rim_hooks`), memoized
-globally on (canonical mask, remaining cycles).  `character_table` encodes each
-row once and runs the recursion directly, skipping the per-value checks of
-`mn_character`.  The memo is a plain dict of immutable keys and
-values: concurrent readers and writers can only ever race on inserting the
-same value twice, so sharing it between threads is safe; process pools simply
-grow one memo per worker.
+Character values come from the Murnaghan-Nakayama rule on beta-set bitmasks
+(`partitions.beta_mask`), one layer of partitions per cycle, with no memo.  A
+single value removes the cycles top-down from {mask of lam: 1} with
+`partitions.rim_hooks`; a whole column {mask: chi_lam(rho)} at one class grows
+bottom-up from the empty partition with `partitions.add_hooks`, and
+`character_table` is one column per class.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
-from .partitions import Partition, _cycle_type, _partition, beta_mask, hook_lengths, partitions_of, rim_hooks
+from .partitions import Partition, _cycle_type, _partition, add_hooks, beta_mask, hook_lengths, partitions_of, rim_hooks
 
 
 def centralizer_order(rho) -> int:
@@ -48,9 +46,6 @@ def dimension(lam) -> int:
     return factorial(lam.size) // prod(h for row in hook_lengths(lam) for h in row)
 
 
-_MN_MEMO: dict = {}
-
-
 def mn_character(lam, rho) -> int:
     """Character of the irreducible lam of S_m at cycle type rho (|lam| = |rho|)."""
     lam = Partition(lam)
@@ -59,24 +54,27 @@ def mn_character(lam, rho) -> int:
         raise ValueError(
             "size mismatch: partition of %d against class of %d" % (lam.size, rho.size)
         )
-    return _mn(beta_mask(lam), rho)
+    return _frontier({beta_mask(lam): 1}, rho, rim_hooks).get(0, 0)
 
 
-def _mn(mask, rho):
-    """MN recursion keyed on canonical beta-set masks: one memo key per partition.
-    A value enters the memo only once complete, so a RecursionError is harmless."""
-    if not rho:
-        return 1
-    key = (mask, rho)
-    cached = _MN_MEMO.get(key)
-    if cached is not None:
-        return cached
-    rest = rho[1:]
-    total = 0
-    for removed, sign in rim_hooks(mask, rho[0]):
-        total += sign * _mn(removed, rest)
-    _MN_MEMO[key] = total
-    return total
+def mn_column(rho) -> dict:
+    """{beta_mask(lam): chi_lam(rho)} over the lam of |rho| with a nonzero value.
+    Enumerates every such lam, so a class with many cycles makes a large column."""
+    return _frontier({0: 1}, reversed(_cycle_type(rho)), add_hooks)
+
+
+def _frontier(frontier: dict, lengths, moves) -> dict:
+    """Murnaghan-Nakayama by layers: for each length t every key moves by
+    `moves(key, t)`, a stream of (moved key, sign); equal keys merge and zeros
+    drop, so a layer of canonical masks over partitions of k has at most p(k)
+    keys.  Iterative, so the number of cycles is not bounded by the stack."""
+    for t in lengths:
+        layer = {}
+        for key, value in frontier.items():
+            for moved, sign in moves(key, t):
+                layer[moved] = layer.get(moved, 0) + (value if sign > 0 else -value)
+        frontier = {key: value for key, value in layer.items() if value}
+    return frontier
 
 
 def _sub_multiset_splits(counts, target):
@@ -149,5 +147,6 @@ def character_table(m: int) -> tuple:
     """
     lams = sorted(partitions_of(m))
     classes = sorted(partitions_of(m))
-    rows = [[_mn(mask, rho) for rho in classes] for mask in map(beta_mask, lams)]
+    columns = [mn_column(rho) for rho in classes]
+    rows = [[column.get(mask, 0) for column in columns] for mask in map(beta_mask, lams)]
     return lams, classes, rows

@@ -4,13 +4,13 @@ Exit codes: 0 on success / verification pass, 1 on a failed verification or
 counterexample, 2 on bad arguments, malformed literals (including a literal
 that expands to more than 10,000 parts, `partitions.MAX_LITERAL_PARTS`), an
 empty range (a `sweep` or `verify` bound below 1, rejected before any report
-line is printed), or a class with close to 1000 cycles (the character
-recursion takes a stack frame per cycle, and Python's recursion limit is
-1000), or a `schur --at` value with more digits or a larger exponent than
-the interpreter's int/str digit limit (4300 by default), refused before it is
-built.  Randomized verification commands print their seed in the
-report header.  `--jobs` (default 1) caps worker processes where a command
-parallelizes over partitions.
+line is printed), or a `schur --at` value with more digits or a larger
+exponent than the interpreter's int/str digit limit (4300 by default), refused
+before it is built, or a `schur` result with more than 100,000 digits
+(`RESULT_DIGITS`; a shorter one prints in full, past the 4300-digit limit).
+Randomized verification commands print their seed in the report header.
+`sweep --jobs` (default 1) caps the worker processes, one value of n each;
+`census` accepts `--jobs` and runs in one process.
 """
 
 from __future__ import annotations
@@ -88,11 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="signs of characters at the involution class")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs_value, default=1)
+    p.add_argument("--jobs", type=_jobs_value, default=1, help="accepted; the census runs in one process")
 
     p = sub.add_parser("sweep", help="exhaustive main character identity check")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs_value, default=1)
+    p.add_argument("--jobs", type=_jobs_value, default=1, help="worker processes, one value of n each")
 
     p = sub.add_parser("dims", help="match B_n dimensions against |character| values")
     p.add_argument("--n", type=int, required=True)
@@ -127,6 +127,9 @@ def _cmd_norm(args) -> int:
     return 0
 
 
+RESULT_DIGITS = 100_000  # printing takes time quadratic in the digits on CPython 3.11
+
+
 def _excerpt(text: str) -> str:
     return repr(text if len(text) <= 40 else text[:37] + "...")
 
@@ -153,7 +156,16 @@ def _point_value(tok: str) -> Fraction:
 def _cmd_schur(args) -> int:
     lam = parse_partition(args.lam)
     values = [_point_value(tok.strip()) for tok in args.at.split(",") if tok.strip()]
-    print(schur_eval(lam, values))
+    value = schur_eval(lam, values)
+    limit = sys.get_int_max_str_digits()  # it guards parsing, not this exact result
+    sys.set_int_max_str_digits(limit and max(limit, RESULT_DIGITS))
+    try:
+        text = str(value)
+    except ValueError:
+        raise ValueError("schur value exceeds %d digits" % RESULT_DIGITS) from None
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
     return 0
 
 
@@ -274,9 +286,6 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (PartitionParseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except RecursionError:  # the character recursion takes a frame per cycle of the class
-        print("error: input exceeds the recursion limit (%d)" % sys.getrecursionlimit(), file=sys.stderr)
         return 2
 
 

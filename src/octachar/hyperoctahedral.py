@@ -8,11 +8,12 @@ the element's order on that cycle doubles.  Irreducibles are likewise indexed
 by bipartitions (p0, p1); the (Z/2)^n block acts trivially on the p0 factor
 and by the sign character on each Z/2 of the p1 factor.
 
-Characters are computed at every class by the type-B Murnaghan-Nakayama rule
-on the beta-set bitmasks of p0 and p1 (`bn_character`); a class's cycle
-lengths may come in any order.  An independent oracle sums
-the induced character over all 2^n n! group elements (`bn_character_bruteforce`,
-n <= 6); it enumerates the conjugates of each class once.
+Characters come from the type-B Murnaghan-Nakayama rule on the beta-set
+bitmasks of p0 and p1, with no memo: one value top-down (`bn_character`), or a
+whole column over (p0, p1) at one class bottom-up (`bn_column`); a class's
+cycle lengths may come in any order.  An independent oracle sums the induced
+character over all 2^n n! group elements (`bn_character_bruteforce`, n <= 6);
+it enumerates the group once per n.
 
 An element is stored as a tuple g of length n with g[i] = image of i+1 in
 {+-1..+-n}; the image of -(i+1) is forced to -g[i].
@@ -37,9 +38,10 @@ from .partitions import (
     _partition,
     _skip_ws,
     beta_mask,
+    add_hooks,
     rim_hooks,
 )
-from .characters import mn_character, dimension
+from .characters import _frontier, dimension, mn_character
 
 
 class BiPartition(NamedTuple):
@@ -160,9 +162,6 @@ def bn_dimension(pi: BiPartition) -> int:
     return comb(n, p0.size) * dimension(p0) * dimension(p1)
 
 
-_BN_MEMO: dict = {}
-
-
 def bn_character(pi: BiPartition, c: BnClass) -> int:
     """Character of the irreducible (p0, p1) at any class, by the type-B
     Murnaghan-Nakayama rule (Geck-Pfeiffer 2000, the MN rule for type B).
@@ -176,27 +175,31 @@ def bn_character(pi: BiPartition, c: BnClass) -> int:
         raise ValueError(
             "size mismatch: class of B_%d against irreducible of B_%d" % (c.n, p0.size + p1.size)
         )
-    cycles = tuple(c.positive) + tuple(-v for v in c.negative)
-    return _bn_mn(beta_mask(p0), beta_mask(p1), cycles)
+    return _frontier({(beta_mask(p0), beta_mask(p1)): 1}, _signed_cycles(c), _pair_moves(rim_hooks)).get((0, 0), 0)
 
 
-def _bn_mn(mask0, mask1, cycles):
-    """Type-B MN recursion on canonical beta-set masks; cycles are lengths,
-    negated for negative cycles.  A value enters the memo only once complete."""
-    if not cycles:
-        return 1
-    key = (mask0, mask1, cycles)
-    cached = _BN_MEMO.get(key)
-    if cached is not None:
-        return cached
-    t, rest = cycles[0], cycles[1:]
-    total = 0
-    for removed, sign in rim_hooks(mask0, abs(t)):
-        total += sign * _bn_mn(removed, mask1, rest)
-    for removed, sign in rim_hooks(mask1, abs(t)):
-        total += (sign if t > 0 else -sign) * _bn_mn(mask0, removed, rest)
-    _BN_MEMO[key] = total
-    return total
+def bn_column(c: BnClass) -> dict:
+    """{(beta_mask(p0), beta_mask(p1)): character} over the irreducibles of B_n
+    with a nonzero value at the class c, grown bottom-up by `add_hooks`."""
+    c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
+    return _frontier({(0, 0): 1}, reversed(_signed_cycles(c)), _pair_moves(add_hooks))
+
+
+def _signed_cycles(c: BnClass) -> list:
+    """Cycle lengths, longest first, negated for negative cycles."""
+    return sorted(tuple(c.positive) + tuple(-v for v in c.negative), key=abs, reverse=True)
+
+
+def _pair_moves(hooks):
+    """Moves of a (mask0, mask1) key by a signed cycle length: `hooks` acts on
+    either mask, with the sign negated in mask1 for a negative cycle."""
+    def moves(key, t):
+        mask0, mask1 = key
+        for moved, sign in hooks(mask0, abs(t)):
+            yield (moved, mask1), sign
+        for moved, sign in hooks(mask1, abs(t)):
+            yield (mask0, moved), sign if t > 0 else -sign
+    return moves
 
 
 # -- explicit signed-permutation machinery (small-n oracle) ------------------
@@ -209,25 +212,6 @@ def _bn_elements(n: int) -> tuple:
         for perm in itertools.permutations(range(1, n + 1))
         for signs in itertools.product((1, -1), repeat=n)
     )
-
-
-def _apply(g, x: int) -> int:
-    return g[x - 1] if x > 0 else -g[-x - 1]
-
-
-def _compose(g, h):
-    """g after h."""
-    return tuple(_apply(g, x) for x in h)
-
-
-def _inverse(g):
-    inv = [0] * len(g)
-    for i, x in enumerate(g):
-        if x > 0:
-            inv[x - 1] = i + 1
-        else:
-            inv[-x - 1] = -(i + 1)
-    return tuple(inv)
 
 
 def bn_class_of(g) -> BnClass:
@@ -250,18 +234,6 @@ def bn_class_of(g) -> BnClass:
     return BnClass(_partition(sorted(pos, reverse=True)), _partition(sorted(neg, reverse=True)))
 
 
-def _class_representative(c: BnClass):
-    n = c.n
-    img = [0] * n
-    start = 0
-    for length, negative in [(v, False) for v in c.positive] + [(v, True) for v in c.negative]:
-        for i in range(length - 1):
-            img[start + i] = start + i + 2
-        img[start + length - 1] = -(start + 1) if negative else start + 1
-        start += length
-    return tuple(img)
-
-
 def _block_cycle_type(g, lo: int, hi: int) -> Partition:
     """Cycle type of the underlying permutation restricted to points lo+1..hi."""
     seen = [False] * (hi - lo)
@@ -279,21 +251,24 @@ def _block_cycle_type(g, lo: int, hi: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _block_conjugates(c: BnClass, a: int) -> tuple:
-    """((sign, type1, type2), count) over all 2^n n! conjugates u = t^-1 g t of
-    the class representative g that preserve the blocks 1..a and a+1..n: sign
-    is (-1)^(negative signs in the second block), type1 and type2 the cycle
-    types of the underlying permutation on the two blocks."""
-    n = c.n
-    g = _class_representative(c)
-    counts = Counter()
-    for t in _bn_elements(n):
-        u = _compose(_inverse(t), _compose(g, t))
-        if any(abs(u[i]) > a for i in range(a)):
-            continue
-        flips = sum(1 for i in range(a, n) if u[i] < 0)
-        counts[-1 if flips % 2 else 1, _block_cycle_type(u, 0, a), _block_cycle_type(u, a, n)] += 1
-    return tuple(counts.items())
+def _block_data(n: int) -> dict:
+    """{(class, a): {(sign, type1, type2): count}} from one pass over B_n: each
+    element u that preserves the blocks 1..a and a+1..n is counted under its
+    sign (-1)^(negative signs in the second block) and the cycle types of the
+    underlying permutation on the two blocks.  Counts are scaled by |Z(class)|,
+    so they count the conjugates t^-1 g t over all t for one g in the class."""
+    counts = {}
+    for u in _bn_elements(n):
+        c = bn_class_of(u)
+        for a, top in enumerate(itertools.accumulate(map(abs, u), max, initial=0)):
+            if top == a:  # u maps 1..a onto 1..a
+                sign = -1 if sum(1 for x in u[a:] if x < 0) % 2 else 1
+                block = counts.setdefault((c, a), Counter())
+                block[sign, _block_cycle_type(u, 0, a), _block_cycle_type(u, a, n)] += 1
+    return {  # every element preserves the blocks at a = 0, so counts[c, 0] has the class size
+        (c, a): {data: count * len(_bn_elements(n)) // counts[c, 0].total() for data, count in block.items()}
+        for (c, a), block in counts.items()
+    }
 
 
 def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
@@ -303,7 +278,7 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
     The inducing subgroup is (Z/2)^n x| (S_a x S_b) with a = |p0|, b = |p1|;
     its character at a block-preserving element is (-1)^(negative signs in the
     second block) times the product of the block cycle-type characters.  The
-    conjugates of a class are enumerated once per a and grouped by that data.
+    group is enumerated once per n and grouped by class, a and that data.
     """
     p0, p1 = Partition(pi[0]), Partition(pi[1])
     c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
@@ -315,7 +290,7 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
     a, b = p0.size, p1.size
     acc = sum(
         count * sign * mn_character(p0, type1) * mn_character(p1, type2)
-        for (sign, type1, type2), count in _block_conjugates(c, a)
+        for (sign, type1, type2), count in _block_data(n).get((c, a), {}).items()
     )
     order_a = 2**n * factorial(a) * factorial(b)
     q, r = divmod(acc, order_a)

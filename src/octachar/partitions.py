@@ -3,11 +3,11 @@
 Everything here works through beta-sets (strictly decreasing non-negative
 integers).  A partition padded with zeros to r parts corresponds to the
 beta-set {lam_i + r - i : i = 1..r}; removing a rim hook of length t is the
-bead move b -> b - t.  The character recursions hold a beta-set as an int
-bitmask (`beta_mask`, bit b set when b is a bead), on which `rim_hooks` finds
-every move with a few shifts; cores, quotients and signs use tuples.  Padding
-length matters for the p-quotient and for the shuffle sign, so the convention
-is fixed once here:
+bead move b -> b - t.  Characters hold a beta-set as an int bitmask
+(`beta_mask`, bit b set when b is a bead), on which `rim_hooks` and its inverse
+`add_hooks` find every move with a few shifts; cores, quotients and signs use
+tuples.  Padding length matters for the p-quotient and for the shuffle sign,
+so the convention is fixed once here:
 
   * p = 2: pad to the smallest length with the parity of |lam|.  This makes
     the 2-quotient of a partition of 2n and of its partner of 2n+1 (same
@@ -114,14 +114,27 @@ def rim_hooks(mask: int, t: int):
     with beta-set bitmask `mask`: each bead b >= t with b - t free moves there,
     with sign (-1)^leg, the leg being the beads strictly between.  `removed` is
     canonical: beads at 0, 1, ..., k - 1 carry no part and are shifted out."""
-    free = (mask & ~(mask << t)) >> t  # bit j set: bead j + t can move to j
-    while free:
-        low = free & -free
-        free ^= low
-        removed = mask ^ (low << t) ^ low
-        if removed & 1:
-            removed >>= (removed ^ (removed + 1)).bit_length() - 1
-        yield removed, -1 if (mask & ((low << t) - (low << 1))).bit_count() & 1 else 1
+    return _bead_moves(mask, (mask & ~(mask << t)) >> t, t)
+
+
+def add_hooks(mask: int, t: int):
+    """Yield (added, sign) for every partition that `rim_hooks(added, t)` takes
+    to the one with bitmask `mask`: the inverse move.  Padded with beads at
+    0..t-1, each bead b with b + t free moves there; `added` is canonical."""
+    mask = (mask << t) | ((1 << t) - 1)
+    return _bead_moves(mask, mask & ~(mask >> t), t)
+
+
+def _bead_moves(mask: int, moves: int, t: int):
+    """For each bit j of `moves`, swap the bead and the gap at j and j + t;
+    yield the canonical result and (-1)^(beads strictly between)."""
+    while moves:
+        low = moves & -moves
+        moves ^= low
+        moved = mask ^ (low << t) ^ low
+        if moved & 1:
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1
+        yield moved, -1 if (mask & ((low << t) - (low << 1))).bit_count() & 1 else 1
 
 
 def hook_lengths(lam) -> list:

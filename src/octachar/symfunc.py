@@ -6,8 +6,8 @@ denominators are cleared once: the numerator rows are the integers
 a_i^e * b_i^(top-e), whose determinant is taken by fraction-free (Bareiss)
 elimination, and the Weyl denominator is the closed-form Vandermonde
 prod_{i<j} (a_i b_j - a_j b_i).  One Fraction is built per value.  The
-power-sum expansion takes its weights p_rho(point)/|Z(rho)| from a small cache
-that computes the power sums once per point, over one common denominator.
+power-sum expansions of all Schur functions of one size are cached per point,
+over one denominator, from one character column per class.
 No symbolic polynomial ring is involved: the factorization identities are
 checked by evaluating both sides at rational points, which decides polynomial
 identities exactly when swept over seeded random points.  `det` stays as the
@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
-from .partitions import Partition, beta_set, partition_from_beta, p_core, p_quotient, partitions_of, sign_shuffle
-from .characters import class_size, mn_character
+from .partitions import Partition, beta_mask, beta_set, partition_from_beta, p_core, p_quotient, partitions_of, sign_shuffle
+from .characters import class_size, mn_column
 
 
 def power_sum(r: int, values) -> Fraction:
@@ -137,21 +137,23 @@ def mirrored_point_plus(xs, x) -> tuple:
 
 @lru_cache(maxsize=64)
 def _frobenius_weights(size: int, values: tuple) -> tuple:
-    """Weights p_rho(point)/|Z(rho)| for every rho of size, over one denominator.
-
-    Returns (((rho, w_rho), ...), denominator) with p_rho/|Z(rho)| equal to
-    w_rho / denominator.  With L the lcm of the point's denominators, p_r is
-    P_r / L^r for an integer P_r, every rho has |rho| = size, and
+    """Power-sum expansions of the Schur functions of `size` at the point, as
+    ({beta_mask(mu): sum over rho of chi_mu(rho) w_rho}, denominator), read
+    from one column per class (an absent mu has the value 0).  Here
+    p_rho/|Z(rho)| = w_rho / denominator: with L the lcm of the point's
+    denominators, p_r is P_r / L^r for an integer P_r, and
     1/|Z(rho)| = class_size(rho) / size!, so w_rho = class_size(rho) * prod P_r
     and the denominator is size! * L^size.
     """
     scale = lcm(*(v.denominator for v in values))
     cleared = [v.numerator * (scale // v.denominator) for v in values]
     sums = [None] + [sum(c**r for c in cleared) for r in range(1, size + 1)]
-    weights = tuple(
-        (rho, class_size(rho) * prod(sums[r] for r in rho)) for rho in partitions_of(size)
-    )
-    return weights, factorial(size) * scale**size
+    expansion = {}
+    for rho in partitions_of(size):
+        weight = class_size(rho) * prod(sums[r] for r in rho)
+        for mask, value in mn_column(rho).items():
+            expansion[mask] = expansion.get(mask, 0) + value * weight
+    return expansion, factorial(size) * scale**size
 
 
 def verify_frobenius(lam, values) -> bool:
@@ -160,9 +162,8 @@ def verify_frobenius(lam, values) -> bool:
     lam = Partition(lam)
     values = tuple(Fraction(v) for v in values)
     lhs = schur_eval(lam, values)
-    weights, denominator = _frobenius_weights(lam.size, values)
-    rhs = sum(mn_character(lam, rho) * w for rho, w in weights)
-    return lhs == Fraction(rhs, denominator)
+    expansion, denominator = _frobenius_weights(lam.size, values)
+    return lhs == Fraction(expansion.get(beta_mask(lam), 0), denominator)
 
 
 def verify_factorization_even(lam, xs) -> bool:

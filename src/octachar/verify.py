@@ -1,8 +1,10 @@
 """End-to-end harnesses: correspondence tables, sign censuses, theorem sweeps.
 
 These drive the other modules over whole families of partitions and classes.
-All heavy loops are per-partition maps over immutable inputs, so they can be
-farmed out to worker processes; each worker keeps its own character memo.
+They read characters by columns (`characters.mn_column`,
+`hyperoctahedral.bn_column`): the involution consumers read the column at
+`w0_class(m)`, and the sweep builds its columns once per n and checks each pair
+by lookups.  The sweep can farm the values of n out to worker processes.
 """
 
 from __future__ import annotations
@@ -11,14 +13,14 @@ import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
 
-from .partitions import Partition, partitions_of, sign_shuffle
-from .characters import mn_character, even_cycle_classes
+from .partitions import Partition, beta_mask, partitions_of, sign_shuffle
+from .characters import even_cycle_classes, mn_character, mn_column
 from .hyperoctahedral import (
     bipartitions_of,
     basechange,
-    bn_dimension,
-    bn_character,
     bn_character_bruteforce,
+    bn_column,
+    bn_dimension,
     norm,
 )
 
@@ -77,12 +79,9 @@ def build_table(n: int) -> TableResult:
             )
         )
     rows.sort(key=lambda row: row.lambda_even)
-    excluded_even = tuple(
-        lam for lam in sorted(partitions_of(2 * n)) if mn_character(lam, w_even) == 0
-    )
-    excluded_odd = tuple(
-        lam for lam in sorted(partitions_of(2 * n + 1)) if mn_character(lam, w_odd) == 0
-    )
+    col_even, col_odd = mn_column(w_even), mn_column(w_odd)
+    excluded_even = tuple(lam for lam in sorted(partitions_of(2 * n)) if beta_mask(lam) not in col_even)
+    excluded_odd = tuple(lam for lam in sorted(partitions_of(2 * n + 1)) if beta_mask(lam) not in col_odd)
     return TableResult(n, tuple(rows), excluded_even, excluded_odd)
 
 
@@ -98,21 +97,21 @@ class SignCensus:
         return self.num_positive + self.num_negative + self.num_zero
 
 
-def _map(fn, items: list, jobs: int, chunksize: int) -> list:
+def _map(fn, items, jobs: int) -> list:
     """[fn(item) for item in items], on `jobs` worker processes when jobs > 1."""
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            return pool.map(fn, items, chunksize=chunksize)
+            return pool.map(fn, items, chunksize=1)
     return [fn(item) for item in items]
 
 
 def sign_census(m: int, jobs: int = 1) -> SignCensus:
     """Counts of partitions of m with positive / negative / zero character on
-    the involution class."""
-    values = _map(partial(mn_character, rho=w0_class(m)), list(partitions_of(m)), jobs, 16)
+    the involution class, from one column; `jobs` is accepted and unused."""
+    values = mn_column(w0_class(m)).values()
     pos = sum(1 for v in values if v > 0)
-    neg = sum(1 for v in values if v < 0)
-    return SignCensus(m, pos, neg, len(values) - pos - neg)
+    total = sum(1 for _ in partitions_of(m))
+    return SignCensus(m, pos, len(values) - pos, total - len(values))
 
 
 def dimension_match(n: int, target: str) -> bool:
@@ -120,12 +119,8 @@ def dimension_match(n: int, target: str) -> bool:
     involution| over S_2n (or S_2n+1) agree as multisets."""
     if target not in ("even", "odd"):
         raise ValueError("target must be 'even' or 'odd', got %r" % (target,))
-    m = 2 * n if target == "even" else 2 * n + 1
-    w = w0_class(m)
     dims = sorted(bn_dimension(pair) for pair in bipartitions_of(n))
-    thetas = sorted(
-        abs(v) for v in (mn_character(lam, w) for lam in partitions_of(m)) if v != 0
-    )
+    thetas = sorted(abs(v) for v in mn_column(w0_class(2 * n if target == "even" else 2 * n + 1)).values())
     return dims == thetas
 
 
@@ -141,29 +136,52 @@ class SweepReport:
         return not self.failures
 
 
-def _sweep_one_bipartition(args):
-    """Check every admissible class against one bipartition; returns a partial
-    report tuple (checked, oracle_checked, failures)."""
-    pair, target, run_oracle = args
-    checked = oracle_checked = 0
-    failures = []
-    lam = basechange(pair, target)
+def _sweep_one_bipartition(report, pair, key, target, lam, columns, run_oracle):
+    """Check one pair (mask pair `key`, basechange `lam`) at every class by
+    lookups into `columns`, a list of (w, norm h, S_m column at w, B_n column
+    at h), into `report`; with `run_oracle`, the even target also runs the
+    group-sum oracle."""
+    mask = beta_mask(lam)
     eps = sign_shuffle(lam)
-    for w in even_cycle_classes(lam.size):
-        h = norm(w, target)
-        lhs = mn_character(lam, w)
-        rhs_bn = bn_character(pair, h)
+    for w, h, s_column, b_column in columns:
+        lhs = s_column.get(mask, 0)
+        rhs_bn = b_column.get(key, 0)
         if lhs != eps * rhs_bn:
-            failures.append(
+            report.failures.append(
                 "identity fails: pair=%s target=%s w=%s: %d != %d * %d"
                 % (pair, target, w, lhs, eps, rhs_bn)
             )
-        checked += 1
         if run_oracle and target == "even":
             if bn_character_bruteforce(pair, h) != rhs_bn:
-                failures.append("oracle mismatch: pair=%s class=%s" % (pair, h))
-            oracle_checked += 1
-    return checked, oracle_checked, failures
+                report.failures.append("oracle mismatch: pair=%s class=%s" % (pair, h))
+            report.oracle_checked += 1
+    report.checked += len(columns)
+
+
+def _sweep_n(n: int, oracle_max: int) -> SweepReport:
+    """The sweep at one n.  Each B_n column is built once per norm class and
+    shared by both targets, each S_m column once per (target, class), and each
+    pair's masks and basechange once."""
+    report = SweepReport(n_max=n)
+    pairs = [(pair, (beta_mask(pair.p0), beta_mask(pair.p1))) for pair in bipartitions_of(n)]
+    b_columns = {}
+    for target in ("even", "odd"):
+        columns = []
+        for w in even_cycle_classes(2 * n if target == "even" else 2 * n + 1):
+            h = norm(w, target)
+            if h not in b_columns:
+                b_columns[h] = bn_column(h)
+            columns.append((w, h, mn_column(w), b_columns[h]))
+        seen = {}
+        for pair, key in pairs:
+            lam = basechange(pair, target)
+            if lam in seen:
+                report.failures.append(
+                    "basechange not injective: %s and %s both map to %s" % (seen[lam], pair, lam)
+                )
+            seen[lam] = pair
+            _sweep_one_bipartition(report, pair, key, target, lam, columns, n <= oracle_max)
+    return report
 
 
 def main_theorem_sweep(n_max: int, oracle_max: int = 4, jobs: int = 1) -> SweepReport:
@@ -172,39 +190,24 @@ def main_theorem_sweep(n_max: int, oracle_max: int = 4, jobs: int = 1) -> SweepR
     point, that the character of the basechanged irreducible at w equals the
     shuffle sign times the B_n character at the norm of w.
 
-    The B_n side is the type-B Murnaghan-Nakayama rule; for n <= oracle_max it
-    is additionally cross-checked against the explicit group-sum oracle.
-    Basechange injectivity is asserted over the whole range.  Failures are
-    collected, not raised; an empty range (n_max < 1) raises ValueError.
+    Both sides are read from columns built by adding rim hooks; for
+    n <= oracle_max the B_n side is additionally cross-checked against the
+    explicit group-sum oracle.  Basechange injectivity is asserted over the
+    whole range.  Failures are collected, not raised; an empty range
+    (n_max < 1) raises ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %d" % n_max)
     report = SweepReport(n_max=n_max)
-    work = []
-    for n in range(1, n_max + 1):
-        for target in ("even", "odd"):
-            seen = {}
-            for pair in bipartitions_of(n):
-                lam = basechange(pair, target)
-                if lam in seen:
-                    report.failures.append(
-                        "basechange not injective: %s and %s both map to %s"
-                        % (seen[lam], pair, lam)
-                    )
-                seen[lam] = pair
-                work.append((pair, target, n <= oracle_max))
-    for checked, oracle_checked, failures in _map(_sweep_one_bipartition, work, jobs, 8):
-        report.checked += checked
-        report.oracle_checked += oracle_checked
-        report.failures.extend(failures)
+    for part in _map(partial(_sweep_n, oracle_max=oracle_max), range(1, n_max + 1), jobs):
+        report.checked += part.checked
+        report.oracle_checked += part.oracle_checked
+        report.failures.extend(part.failures)
     return report
 
 
 def basechange_image_matches_support(n: int, target: str) -> bool:
     """True when the basechange image equals the set of partitions whose
     character at the involution class is nonzero."""
-    m = 2 * n if target == "even" else 2 * n + 1
-    image = {basechange(pair, target) for pair in bipartitions_of(n)}
-    w = w0_class(m)
-    support = {lam for lam in partitions_of(m) if mn_character(lam, w) != 0}
-    return image == support
+    image = {beta_mask(basechange(pair, target)) for pair in bipartitions_of(n)}
+    return image == set(mn_column(w0_class(2 * n if target == "even" else 2 * n + 1)))

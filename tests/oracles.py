@@ -6,14 +6,17 @@ enumeration, symmetric-group characters by Young symmetrizer left ideals,
 determinants by cofactor expansion, and induced characters by summation over
 the full group.  Rim hooks have two reference routes: cell-by-cell diagram
 surgery, and bead moves on tuple beta-sets (the library moves beads on int
-bitmasks).
+bitmasks).  Characters of S_m and B_n have a reference route in the
+remove-hooks recursion on tuple beta-sets (the library goes by layers of
+bitmasks, and adds hooks for whole columns).
 """
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from octachar.partitions import Partition, partitions_of
+from octachar.partitions import Partition, beta_set, partitions_of
 from octachar.characters import mn_character
 
 
@@ -144,6 +147,43 @@ def rim_hooks_on_tuples(beta, t):
         yield removed, -1 if (j - i - 1) % 2 else 1
 
 
+def _canonical_beta(lam):
+    return beta_set(lam, len(lam))
+
+
+def mn_by_recursion(lam, rho):
+    """chi_lam(rho) by the Murnaghan-Nakayama recursion: remove a rho_1-hook in
+    every way, recurse on the rest of rho."""
+    rho = tuple(sorted(rho, reverse=True))
+
+    @lru_cache(maxsize=None)
+    def rec(beta, k):
+        if k == len(rho):
+            return 1
+        return sum(sign * rec(removed, k + 1) for removed, sign in rim_hooks_on_tuples(beta, rho[k]))
+
+    return rec(_canonical_beta(lam), 0)
+
+
+def bn_by_recursion(pair, c):
+    """B_n character of pair = (p0, p1) at c = (positive, negative) by the type-B
+    recursion: each cycle removes a hook from p0, or from p1 with the sign
+    negated for a negative cycle."""
+    cycles = tuple(c[0]) + tuple(-v for v in c[1])
+
+    @lru_cache(maxsize=None)
+    def rec(beta0, beta1, k):
+        if k == len(cycles):
+            return 1
+        t = cycles[k]
+        total = sum(sign * rec(removed, beta1, k + 1) for removed, sign in rim_hooks_on_tuples(beta0, abs(t)))
+        for removed, sign in rim_hooks_on_tuples(beta1, abs(t)):
+            total += (sign if t > 0 else -sign) * rec(beta0, removed, k + 1)
+        return total
+
+    return rec(_canonical_beta(pair[0]), _canonical_beta(pair[1]), 0)
+
+
 def rim_hook_cores(lam, p):
     """Every terminal partition reachable by repeatedly removing p-hooks, over
     all removal orders.  Order independence means this is a singleton."""
@@ -160,6 +200,37 @@ def rim_hook_cores(lam, p):
         return result
 
     return rec(Partition(lam))
+
+
+# -- signed permutations of {+-1..+-n} as image tuples -----------------------
+
+
+def signed_compose(g, h):
+    """g after h."""
+    return tuple(g[x - 1] if x > 0 else -g[-x - 1] for x in h)
+
+
+def signed_inverse(g):
+    inv = [0] * len(g)
+    for i, x in enumerate(g):
+        if x > 0:
+            inv[x - 1] = i + 1
+        else:
+            inv[-x - 1] = -(i + 1)
+    return tuple(inv)
+
+
+def signed_class_representative(c):
+    """A signed permutation with positive cycles c[0] and negative cycles c[1],
+    on consecutive points."""
+    img = [0] * (sum(c[0]) + sum(c[1]))
+    start = 0
+    for length, negative in [(v, False) for v in c[0]] + [(v, True) for v in c[1]]:
+        for i in range(length - 1):
+            img[start + i] = start + i + 2
+        img[start + length - 1] = -(start + 1) if negative else start + 1
+        start += length
+    return tuple(img)
 
 
 # -- Schur polynomials by semistandard tableaux ------------------------------

@@ -1,9 +1,11 @@
-import pytest
+from functools import lru_cache
 
-import octachar
-from octachar import characters
-from octachar.partitions import Partition, parse_partition, partitions_of
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from octachar.partitions import Partition, add_hooks, beta_mask, parse_partition, partitions_of, rim_hooks
 from octachar.characters import (
+    _frontier,
     centralizer_order,
     character_table,
     class_size,
@@ -11,6 +13,7 @@ from octachar.characters import (
     double_class,
     even_cycle_classes,
     mn_character,
+    mn_column,
     product_character,
     sign_of_class,
 )
@@ -18,7 +21,9 @@ from octachar.characters import (
 from fractions import Fraction
 from math import comb, factorial
 
-from oracles import centralizer_count, induced_product_character, sn_character_table_young
+from oracles import centralizer_count, induced_product_character, mn_by_recursion, sn_character_table_young
+
+young_table = lru_cache(maxsize=None)(sn_character_table_young)
 
 
 def P(text):
@@ -81,17 +86,44 @@ class TestMurnaghanNakayama:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_tables_match_young_symmetrizer_oracle(self, n):
-        oracle = sn_character_table_young(n)
+        oracle = young_table(n)
         for lam in partitions_of(n):
             for rho in partitions_of(n):
                 assert mn_character(lam, rho) == oracle[lam][rho], (lam, rho)
 
-    @pytest.mark.parametrize("m, entries", [(10, 2211), (12, 7331)])
-    def test_memo_has_one_key_per_partition_and_class_suffix(self, m, entries):
-        # a memo key that is not canonical would store one partition many times
-        octachar.clear_caches()
-        character_table(m)
-        assert len(characters._MN_MEMO) == entries
+    @pytest.mark.parametrize("m", [10, 12])
+    def test_frontiers_hold_at_most_p_k_canonical_masks(self, m):
+        # a mask that is not canonical would hold one partition under many keys
+        counts = [sum(1 for _ in partitions_of(k)) for k in range(m + 1)]
+        everything = {beta_mask(lam): 1 for lam in partitions_of(m)}
+        for rho in partitions_of(m):
+            for j in range(len(rho) + 1):
+                k = sum(rho[j:])
+                for frontier in (
+                    _frontier({0: 1}, reversed(rho[j:]), add_hooks),
+                    _frontier(everything, rho[:j], rim_hooks),
+                ):
+                    assert len(frontier) <= counts[k], (rho, j)
+                    assert not any(mask & 1 for mask in frontier), (rho, j)
+
+    def test_columns_match_recursion_at_every_class(self):
+        for m in range(1, 11):
+            for rho in partitions_of(m):
+                column = mn_column(rho)
+                assert column == {
+                    beta_mask(lam): v for lam in partitions_of(m) if (v := mn_by_recursion(lam, rho))
+                }, rho
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 14).flatmap(lambda m: st.tuples(
+        st.sampled_from(list(partitions_of(m))), st.sampled_from(list(partitions_of(m))))))
+    def test_columns_top_down_recursion_and_young_agree(self, case):
+        lam, rho = case
+        value = mn_by_recursion(lam, rho)
+        assert mn_character(lam, rho) == value
+        assert mn_column(rho).get(beta_mask(lam), 0) == value
+        if lam.size <= 5:
+            assert young_table(lam.size)[lam][rho] == value
 
     def test_s3_oracle_against_textbook_values(self):
         # guards the oracle itself

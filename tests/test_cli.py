@@ -101,6 +101,25 @@ class TestSchur:
         assert code == 0
         assert out.strip() == "9" * 4300 + "/1" + "0" * 4299
 
+    def test_result_past_the_digit_limit_prints_in_full(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "schur", "[300]", "--at", "1e20")
+        assert (code, err) == (0, "")
+        assert out.strip() == "1" + "0" * 6000
+        assert sys.get_int_max_str_digits() == limit
+        # the input side still refuses a value past the limit
+        code, out, err = run(capsys, "schur", "[1]", "--at", "1,1e4301")
+        assert (code, out) == (2, "")
+        assert "exceeds 4300 digits" in err
+
+    def test_result_past_the_output_cap_exits_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "schur", "[30000]", "--at", "1e4")
+        assert (code, out) == (2, "")
+        assert "schur value exceeds 100000 digits" in err
+        assert "set_int_max_str_digits" not in err
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestVerifyCommands:
     def test_frobenius(self, capsys):
@@ -225,11 +244,16 @@ def test_huge_point_value_is_rejected_before_conversion(value):
     assert "Traceback" not in proc.stderr
 
 
-def test_recursion_limit_exits_2_without_traceback(capsys):
-    code, _, err = run(capsys, "char", "[1^1200]", "[1^1200]")
-    assert code == 2
-    assert "recursion limit" in err
-    assert "Traceback" not in err
+def test_class_past_the_recursion_limit_prints_its_value():
+    # the character layers are iterative: 1200 cycles take no stack frame each
+    src = str(Path(octachar.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
+         "char", "[1^1200]", "[1^1200]"],
+        capture_output=True, text=True, timeout=20, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
 _partition = st.integers(0, 8).flatmap(lambda n: st.sampled_from(list(partitions_of(n))))

@@ -4,10 +4,10 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-import octachar
-from octachar.partitions import Partition, parse_partition, partitions_of, p_core, p_quotient
-from octachar.characters import mn_character, product_character
-from octachar import hyperoctahedral
+from hypothesis import given, settings, strategies as st
+
+from octachar.partitions import Partition, add_hooks, beta_mask, parse_partition, partitions_of, p_core, p_quotient, rim_hooks
+from octachar.characters import _frontier, mn_character, product_character
 from octachar.hyperoctahedral import (
     BiPartition,
     basechange,
@@ -17,16 +17,18 @@ from octachar.hyperoctahedral import (
     bn_character_bruteforce,
     bn_class,
     bn_class_of,
+    bn_column,
     bn_dimension,
     embed_class,
     format_bipartition,
     norm,
     parse_bipartition,
     _bn_elements,
-    _class_representative,
-    _compose,
-    _inverse,
+    _pair_moves,
+    _signed_cycles,
 )
+
+from oracles import bn_by_recursion, signed_class_representative, signed_compose, signed_inverse
 
 
 def P(text):
@@ -157,20 +159,20 @@ class TestDimensions:
 class TestSignedPermutations:
     def test_compose_inverse(self):
         for g in _bn_elements(3):
-            assert _compose(g, _inverse(g)) == (1, 2, 3)
-            assert _compose(_inverse(g), g) == (1, 2, 3)
+            assert signed_compose(g, signed_inverse(g)) == (1, 2, 3)
+            assert signed_compose(signed_inverse(g), g) == (1, 2, 3)
 
     def test_class_representative_lands_in_class(self):
         for n in range(1, 5):
             for pair in bipartitions_of(n):
                 c = bn_class(pair.p0, pair.p1)
-                assert bn_class_of(_class_representative(c)) == c
+                assert bn_class_of(signed_class_representative(c)) == c
 
     def test_class_invariance_under_conjugation(self):
         for g in _bn_elements(3):
             c = bn_class_of(g)
             for t in _bn_elements(3):
-                assert bn_class_of(_compose(_inverse(t), _compose(g, t))) == c
+                assert bn_class_of(signed_compose(signed_inverse(t), signed_compose(g, t))) == c
 
 
 class TestBruteForceOracle:
@@ -285,16 +287,39 @@ class TestMurnaghanNakayamaB:
             bipartition([1], [2, 1]), bn_class([], [3, 1])
         )
 
-    def test_memo_keys_are_canonical_beta_sets(self):
-        # a bead at 0 would store one partition under several keys
-        octachar.clear_caches()
-        assert not hyperoctahedral._BN_MEMO
-        for pair in bipartitions_of(6):
-            for c in _bn_classes(6):
-                bn_character(pair, c)
-        assert hyperoctahedral._BN_MEMO
-        for mask0, mask1, _ in hyperoctahedral._BN_MEMO:
-            assert not mask0 & 1 and not mask1 & 1
+    def test_frontiers_hold_canonical_mask_pairs(self):
+        # a bead at 0 would store one bipartition under several keys
+        n = 6
+        counts = [sum(1 for _ in bipartitions_of(k)) for k in range(n + 1)]
+        for c in _bn_classes(n):
+            cycles = _signed_cycles(c)
+            for j in range(len(cycles) + 1):
+                bottom_up = _frontier({(0, 0): 1}, reversed(cycles[j:]), _pair_moves(add_hooks))
+                everything = {(beta_mask(p0), beta_mask(p1)): 1 for p0, p1 in bipartitions_of(n)}
+                top_down = _frontier(everything, cycles[:j], _pair_moves(rim_hooks))
+                k = sum(abs(t) for t in cycles[j:])
+                for frontier in (bottom_up, top_down):
+                    assert len(frontier) <= counts[k], (c, j)
+                    for mask0, mask1 in frontier:
+                        assert not mask0 & 1 and not mask1 & 1
+
+    def test_columns_match_oracle_at_every_class(self):
+        for n in range(1, 5):
+            for c in _bn_classes(n):
+                column = bn_column(c)
+                for pair in bipartitions_of(n):
+                    value = bn_character_bruteforce(pair, c)
+                    assert column.get((beta_mask(pair.p0), beta_mask(pair.p1)), 0) == value, (pair, c)
+                assert 0 not in column.values()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.sampled_from(list(bipartitions_of(n))), st.sampled_from(_bn_classes(n)))))
+    def test_columns_top_down_and_recursion_agree(self, case):
+        pair, c = case
+        value = bn_by_recursion(pair, c)
+        assert bn_character(pair, c) == value
+        assert bn_column(c).get((beta_mask(pair.p0), beta_mask(pair.p1)), 0) == value
 
 
 class TestBipartitionText:

@@ -5,6 +5,7 @@ from octachar.partitions import (
     MAX_LITERAL_PARTS,
     Partition,
     PartitionParseError,
+    add_hooks,
     beta_mask,
     beta_set,
     format_partition,
@@ -163,6 +164,33 @@ class TestRimHooks:
             rows = sum(1 for i, v in enumerate(lam) if (mu[i] if i < len(mu) else 0) < v)
             cells.add((mu, -1 if rows % 2 == 0 else 1))
         assert got == cells
+
+
+class TestAddHooks:
+    def test_inverse_of_rim_hooks(self):
+        # (mu, s) comes from lam exactly when rim_hooks(mu, t) yields (lam, s)
+        removals = {}
+        for size in range(25):
+            for mu in partitions_of(size):
+                mask = beta_mask(mu)
+                for t in range(1, min(size, 12) + 1):
+                    for lam, sign in rim_hooks(mask, t):
+                        removals.setdefault((lam, t), []).append((mask, sign))
+        for n in range(13):
+            for lam in partitions_of(n):
+                mask = beta_mask(lam)
+                for t in range(1, 13):
+                    added = list(add_hooks(mask, t))
+                    assert sorted(added) == sorted(removals.get((mask, t), [])), (lam, t)
+
+    def test_examples(self):
+        # onto [1]: the 2-hooks give [3] (leg 0) and [1^3] (leg 1); [2,1] has no 2-hook
+        assert sorted(add_hooks(beta_mask(Partition([1])), 2)) == sorted(
+            [(beta_mask(Partition([1, 1, 1])), -1), (beta_mask(Partition([3])), 1)]
+        )
+        assert sorted(add_hooks(0, 3)) == sorted(
+            (beta_mask(lam), -1 if len(lam) % 2 == 0 else 1) for lam in ([3], [2, 1], [1, 1, 1])
+        )
 
 
 class TestCores:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import octachar
 from octachar.characters import centralizer_order
-from octachar.partitions import Partition, parse_partition, partitions_of, p_core
+from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, p_core
 from octachar.symfunc import (
     SweepFailure,
     _frobenius_weights,
@@ -27,7 +27,7 @@ from octachar.symfunc import (
     verify_frobenius,
 )
 
-from oracles import det_cofactor, interpolate_coefficients, schur_by_tableaux
+from oracles import det_cofactor, interpolate_coefficients, mn_by_recursion, schur_by_tableaux
 
 
 F = Fraction
@@ -213,13 +213,18 @@ class TestFrobenius:
         assert frobenius_sweep(5, seed=0, points_per_size=3) > 0
 
     def test_weights_are_power_sums_over_centralizers(self):
+        # the expansion at mu is sum over rho of chi_mu(rho) p_rho / |Z(rho)|
         point = kernel_point(4, random.Random(17))
         for n in range(0, 7):
-            weights, denominator = _frobenius_weights(n, tuple(point))
-            assert [rho for rho, _ in weights] == list(partitions_of(n))
-            for rho, w in weights:
-                p_rho = prod((power_sum(r, point) for r in rho), start=F(1))
-                assert F(w, denominator) == p_rho / centralizer_order(rho)
+            expansion, denominator = _frobenius_weights(n, tuple(point))
+            assert set(expansion) <= {beta_mask(mu) for mu in partitions_of(n)}
+            for mu in partitions_of(n):
+                expected = sum(
+                    mn_by_recursion(mu, rho) * prod((power_sum(r, point) for r in rho), start=F(1))
+                    / centralizer_order(rho)
+                    for rho in partitions_of(n)
+                )
+                assert F(expansion.get(beta_mask(mu), 0), denominator) == expected
 
     def test_cold_and_warm_cache_agree(self):
         point = random_rationals(4, random.Random(23), max_height=50)
