@@ -19,6 +19,7 @@ from .partitions import (
     p_core,
     p_quotient,
     parse_partition,
+    partition_counts,
     partition_from_beta,
     partitions_of,
     sign_odd_parts,

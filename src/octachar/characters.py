@@ -6,13 +6,14 @@ Character values come from the Murnaghan-Nakayama rule on beta-set bitmasks
 single value removes the cycles top-down from {mask of lam: 1} with
 `partitions.rim_hooks`; a whole column {mask: chi_lam(rho)} at one class grows
 bottom-up from the empty partition with `partitions.add_hooks`, and
-`character_table` is one column per class.
+`character_table` is one column per class.  The character induced from
+S_a x S_b runs the same layers on pairs of masks (`_pair_moves`), the frontier
+that `hyperoctahedral` uses for B_n characters.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import factorial, prod
 
 from .partitions import Partition, _cycle_type, _partition, add_hooks, beta_mask, hook_lengths, partitions_of, rim_hooks
@@ -77,33 +78,24 @@ def _frontier(frontier: dict, lengths, moves) -> dict:
     return frontier
 
 
-def _sub_multiset_splits(counts, target):
-    """Yield multiplicity splits of a class: {value: taken} with sum(v*taken) = target."""
-    values = sorted(counts)
-
-    def rec(idx, remaining, chosen):
-        if remaining == 0:
-            rest = dict(chosen)
-            for v in values[idx:]:
-                rest[v] = 0
-            yield rest
-            return
-        if idx == len(values):
-            return
-        v = values[idx]
-        for take in range(min(counts[v], remaining // v) + 1):
-            yield from rec(idx + 1, remaining - take * v, {**chosen, v: take})
-
-    yield from rec(0, target, {})
+def _pair_moves(hooks):
+    """Moves of a (mask0, mask1) key by a signed cycle length: `hooks` acts on
+    either mask, with the sign negated in mask1 for a negative cycle."""
+    def moves(key, t):
+        mask0, mask1 = key
+        for moved, sign in hooks(mask0, abs(t)):
+            yield (moved, mask1), sign
+        for moved, sign in hooks(mask1, abs(t)):
+            yield (mask0, moved), sign if t > 0 else -sign
+    return moves
 
 
 def product_character(p0, p1, rho) -> int:
     """Character of the representation of S_{a+b} induced from lam(p0) x lam(p1).
 
-    Class-fusion form of the induced character: |Z(rho)| times the sum over
-    unordered splits rho = rho' + rho'' with |rho'| = a of
-    chi_{p0}(rho') chi_{p1}(rho'') / (|Z(rho')| |Z(rho'')|).  The rational
-    intermediate sum always clears to an integer; that is asserted, not assumed.
+    Each cycle of rho removes a rim hook from p0 or from p1, as in the type-B
+    Murnaghan-Nakayama rule at a class with positive cycles only: the induced
+    character is the B_n character of (p0, p1) at (rho|()).
     """
     p0 = Partition(p0)
     p1 = Partition(p1)
@@ -113,19 +105,7 @@ def product_character(p0, p1, rho) -> int:
         raise ValueError(
             "size mismatch: class of %d against factors of %d and %d" % (rho.size, a, b)
         )
-    counts = Counter(rho)  # keys in the descending order of rho
-    total = Fraction(0)
-    for taken in _sub_multiset_splits(counts, a):
-        left = _partition(v for v in counts for _ in range(taken[v]))
-        right = _partition(v for v in counts for _ in range(counts[v] - taken[v]))
-        total += Fraction(
-            mn_character(p0, left) * mn_character(p1, right),
-            centralizer_order(left) * centralizer_order(right),
-        )
-    total *= centralizer_order(rho)
-    if total.denominator != 1:
-        raise ArithmeticError("induced character did not clear to an integer")
-    return int(total)
+    return _frontier({(beta_mask(p0), beta_mask(p1)): 1}, rho, _pair_moves(rim_hooks)).get((0, 0), 0)
 
 
 def even_cycle_classes(m: int):

@@ -24,7 +24,7 @@ from .partitions import (
     PartitionParseError,
     format_partition,
     parse_partition,
-    partitions_of,
+    partition_counts,
 )
 from .characters import mn_character, character_table
 from .hyperoctahedral import (
@@ -235,7 +235,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    census = sign_census(args.m, jobs=args.jobs)
+    census = sign_census(args.m)
     print(
         "%d total, %d positive, %d negative, %d zero"
         % (census.total, census.num_positive, census.num_negative, census.num_zero)
@@ -257,7 +257,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_dims(args) -> int:
     ok = dimension_match(args.n, args.target)
-    counts = [sum(1 for _ in partitions_of(k)) for k in range(args.n + 1)]
+    counts = partition_counts(args.n)
     total = sum(counts[k] * counts[args.n - k] for k in range(args.n + 1))
     if ok:
         print("ok: %d dimensions match as multisets" % total)

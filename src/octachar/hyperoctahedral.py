@@ -41,7 +41,7 @@ from .partitions import (
     add_hooks,
     rim_hooks,
 )
-from .characters import _frontier, dimension, mn_character
+from .characters import _frontier, _pair_moves, dimension, mn_character
 
 
 class BiPartition(NamedTuple):
@@ -188,18 +188,6 @@ def bn_column(c: BnClass) -> dict:
 def _signed_cycles(c: BnClass) -> list:
     """Cycle lengths, longest first, negated for negative cycles."""
     return sorted(tuple(c.positive) + tuple(-v for v in c.negative), key=abs, reverse=True)
-
-
-def _pair_moves(hooks):
-    """Moves of a (mask0, mask1) key by a signed cycle length: `hooks` acts on
-    either mask, with the sign negated in mask1 for a negative cycle."""
-    def moves(key, t):
-        mask0, mask1 = key
-        for moved, sign in hooks(mask0, abs(t)):
-            yield (moved, mask1), sign
-        for moved, sign in hooks(mask1, abs(t)):
-            yield (mask0, moved), sign if t > 0 else -sign
-    return moves
 
 
 # -- explicit signed-permutation machinery (small-n oracle) ------------------

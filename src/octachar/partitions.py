@@ -3,11 +3,13 @@
 Everything here works through beta-sets (strictly decreasing non-negative
 integers).  A partition padded with zeros to r parts corresponds to the
 beta-set {lam_i + r - i : i = 1..r}; removing a rim hook of length t is the
-bead move b -> b - t.  Characters hold a beta-set as an int bitmask
+bead move b -> b - t.  The library holds a beta-set as an int bitmask
 (`beta_mask`, bit b set when b is a bead), on which `rim_hooks` and its inverse
-`add_hooks` find every move with a few shifts; cores, quotients and signs use
-tuples.  Padding length matters for the p-quotient and for the shuffle sign,
-so the convention is fixed once here:
+`add_hooks` find every move with a few shifts.  The p-core is what `rim_hooks`
+leaves at length p; quotients and the shuffle sign are read off the p abacus
+runners of the mask (runner i holds the beads congruent to i mod p).  Padding
+length matters for the p-quotient and for the shuffle sign, so the convention
+is fixed once here (`_padded_mask`):
 
   * p = 2: pad to the smallest length with the parity of |lam|.  This makes
     the 2-quotient of a partition of 2n and of its partner of 2n+1 (same
@@ -75,6 +77,17 @@ def partitions_of(n: int):
             yield from gen(remaining - v, v, prefix + (v,))
 
     yield from gen(n, n, ())
+
+
+def partition_counts(n: int) -> list:
+    """[p(0), p(1), ..., p(n)], the number of partitions of each k <= n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            counts[k] += counts[k - part]
+    return counts
 
 
 def beta_set(lam, length: int) -> tuple:
@@ -147,33 +160,42 @@ def hook_lengths(lam) -> list:
     ]
 
 
-def _quotient_length(lam, p: int) -> int:
-    r = len(lam)
-    if p == 2:
-        if r % 2 != sum(lam) % 2:
-            r += 1
-        return r
-    return -(-r // p) * p
+def _from_mask(mask: int) -> Partition:
+    """Partition with beta-set bitmask `mask`; beads at 0..k-1 carry no part."""
+    parts = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        parts.append(low.bit_length() - 1 - len(parts))
+    return _partition(v for v in reversed(parts) if v)
+
+
+def _runners(mask: int, p: int) -> list:
+    """The p abacus runners of a bitmask: bit j of runner i is bit p*j + i."""
+    runners = [0] * p
+    for b in range(mask.bit_length()):
+        if mask >> b & 1:
+            runners[b % p] |= 1 << (b // p)
+    return runners
+
+
+def _padded_mask(lam, p: int) -> int:
+    """beta_mask(lam) padded with beads at the bottom to the module's length."""
+    pad = (len(lam) + sum(lam)) % 2 if p == 2 else -len(lam) % p
+    return (beta_mask(lam) << pad) | ((1 << pad) - 1)
 
 
 def p_core(lam, p: int) -> Partition:
-    """The partition left after removing all rim hooks of length p.
-
-    Computed by pushing every bead of the beta-set as low as possible within
-    its residue class mod p; order independence of hook removal is a classical
-    fact (and is exercised by the tests, not assumed here).
-    """
+    """The partition left after removing rim hooks of length p until none is left
+    (the result does not depend on the order, a classical fact the tests check)."""
     lam = Partition(lam)
     if p < 2:
         raise ValueError("p must be at least 2")
-    beta = beta_set(lam, len(lam))
-    counts = [0] * p
-    for b in beta:
-        counts[b % p] += 1
-    packed = sorted(
-        (i + p * j for i in range(p) for j in range(counts[i])), reverse=True
-    )
-    return partition_from_beta(tuple(packed))
+    move = (beta_mask(lam), 1)
+    while move:
+        mask, _ = move
+        move = next(rim_hooks(mask, p), None)
+    return _from_mask(mask)
 
 
 def is_p_core(lam, p: int) -> bool:
@@ -182,7 +204,7 @@ def is_p_core(lam, p: int) -> bool:
 
 
 def p_quotient(lam, p: int) -> tuple:
-    """Ordered tuple of p partitions read off the residue classes of the beta-set.
+    """Ordered tuple of p partitions read off the abacus runners of the beta-set.
 
     Slot i holds the partition whose beta-set is (entries congruent to i) minus
     i, divided by p.  Padding follows the module convention above, so for p = 2
@@ -191,11 +213,7 @@ def p_quotient(lam, p: int) -> tuple:
     lam = Partition(lam)
     if p < 2:
         raise ValueError("p must be at least 2")
-    beta = beta_set(lam, _quotient_length(lam, p))
-    classes = [[] for _ in range(p)]
-    for b in beta:  # beta decreasing, so each class list stays decreasing
-        classes[b % p].append((b - b % p) // p)
-    return tuple(partition_from_beta(tuple(cls)) for cls in classes)
+    return tuple(map(_from_mask, _runners(_padded_mask(lam, p), p)))
 
 
 def from_core_and_quotient(core, quotient, p: int) -> Partition:
@@ -209,40 +227,18 @@ def from_core_and_quotient(core, quotient, p: int) -> Partition:
     if p_core(core, p) != core:
         raise ValueError("not a p-core: %s has a hook divisible by %d" % (core, p))
 
-    step = 2 if p == 2 else p
-    r = _quotient_length(core, p)
-    while True:
-        counts = [0] * p
-        for b in beta_set(core, r):
-            counts[b % p] += 1
-        if all(counts[i] >= len(quotient[i]) for i in range(p)):
-            break
-        r += step
-
-    merged = []
-    for i in range(p):
-        merged.extend(p * x + i for x in beta_set(quotient[i], counts[i]))
-    merged.sort(reverse=True)
-    result = partition_from_beta(tuple(merged))
+    mask = _padded_mask(core, p)
+    while any(runner.bit_count() < len(q) for runner, q in zip(_runners(mask, p), quotient)):
+        mask = (mask << p) | ((1 << p) - 1)  # one more bead at the foot of each runner
+    merged = 0
+    for i, (runner, q) in enumerate(zip(_runners(mask, p), quotient)):
+        pad = runner.bit_count() - len(q)
+        beads = (beta_mask(q) << pad) | ((1 << pad) - 1)
+        for j in range(beads.bit_length()):
+            merged |= (beads >> j & 1) << (p * j + i)
+    result = _from_mask(merged)
     assert result.size == core.size + p * sum(q.size for q in quotient)
     return result
-
-
-def _perm_sign(perm) -> int:
-    """Sign of a permutation given as a 0-based image list."""
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def sign_shuffle(lam) -> int:
@@ -254,32 +250,23 @@ def sign_shuffle(lam) -> int:
     even and odd slots of {r-1, ..., 1, 0}), and for partitions of odd size
     with 2-core (1) (pad to an odd number 2m+1 of parts, reference set
     {2m+1, ..., 1}, with an extra factor (-1)^m).
+
+    Counted on the two runners: the k-th odd bead (from 0, ascending) with c_k
+    even beads below it takes part in c_k + k + 1 inversions mod 2 at even
+    size, and in c_k + k at odd size.
     """
     lam = Partition(lam)
-    n = lam.size
-    r = len(lam)
-    if r % 2 != n % 2:
-        r += 1
-    beta = beta_set(lam, r)
-    evens = sorted(b for b in beta if b % 2 == 0)
-    odds = sorted(b for b in beta if b % 2 == 1)
-
-    if n % 2 == 0:
-        if len(evens) != len(odds):
-            raise ValueError("sign undefined: 2-core of %s is not empty" % (lam,))
-        slot = {b: 2 * i for i, b in enumerate(evens)}
-        slot.update({b: 2 * i + 1 for i, b in enumerate(odds)})
-        # position i in {0..r-1} carries beta[r-1-i]
-        return _perm_sign([slot[beta[r - 1 - i]] for i in range(r)])
-
-    if len(odds) != len(evens) + 1:
-        raise ValueError("sign undefined: 2-core of %s is not (1)" % (lam,))
-    m = (r - 1) // 2
-    slot = {b: 2 * (i + 1) for i, b in enumerate(evens)}
-    slot.update({b: 2 * i + 1 for i, b in enumerate(odds)})
-    # position i in {1..2m+1} carries beta[r-i]; shift to 0-based for the sign
-    sign = _perm_sign([slot[beta[r - i]] - 1 for i in range(1, r + 1)])
-    return sign if m % 2 == 0 else -sign
+    odd_size = lam.size % 2
+    even, odd = _runners(_padded_mask(lam, 2), 2)
+    m = even.bit_count()
+    if odd.bit_count() != m + odd_size:
+        raise ValueError("sign undefined: 2-core of %s is not %s" % (lam, "(1)" if odd_size else "empty"))
+    inversions = m * odd_size
+    for k in range(m + odd_size):
+        low = odd & -odd
+        odd ^= low
+        inversions += (even & ((low << 1) - 1)).bit_count() + k + 1 - odd_size
+    return -1 if inversions % 2 else 1
 
 
 def sign_odd_parts(lam) -> int:

@@ -10,8 +10,10 @@ power-sum expansions of all Schur functions of one size are cached per point,
 over one denominator, from one character column per class.
 No symbolic polynomial ring is involved: the factorization identities are
 checked by evaluating both sides at rational points, which decides polynomial
-identities exactly when swept over seeded random points.  `det` stays as the
-independent rational route that the tests compare the kernel against.
+identities exactly when swept over seeded random points.  Both Littlewood
+factorizations take the 2-core, the 2-quotient and the shuffle sign from
+`partitions`, at its padding convention.  `det` stays as the independent
+rational route that the tests compare the kernel against.
 
 Point constraints: the bialternant needs pairwise distinct coordinates, so the
 mirrored point (X, -X) needs the |x_i| distinct and nonzero, and (X, -X, x)
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
-from .partitions import Partition, beta_mask, beta_set, partition_from_beta, p_core, p_quotient, partitions_of, sign_shuffle
+from .partitions import Partition, beta_mask, beta_set, p_core, p_quotient, partitions_of, sign_shuffle
 from .characters import class_size, mn_column
 
 
@@ -185,32 +187,19 @@ def verify_factorization_even(lam, xs) -> bool:
 def verify_factorization_odd(lam, xs, x) -> bool:
     """Factorization at a mirrored-plus-one point (X, -X, x) in 2m+1 variables.
 
-    With beta-numbers taken at exactly 2m+1 parts, let k and l count the even
-    and odd entries.  If |k - l| != 1 the Schur value must vanish.  If
-    l = k + 1 (2-core (1)) the value is eps * x * s_{q0}(X^2) s_{q1}(X^2, x^2);
-    if k = l + 1 (empty 2-core) it is eps * s_{q1}(X^2) s_{q0}(X^2, x^2), where
-    (q0, q1) decode the even resp. odd beta-entries at this padding.
+    Read off the 2-core and the 2-quotient (q0, q1) of lam.  If the 2-core is
+    neither () nor (1) the Schur value must vanish.  Otherwise it is
+    eps * s_{q0}(X^2) s_{q1}(X^2, x^2), times x when the 2-core is (1).
     """
     lam = Partition(lam)
-    point = mirrored_point_plus(xs, x)
-    d = len(point)
-    value = schur_eval(lam, point)
-
-    beta = beta_set(lam, d)
-    evens = tuple(b // 2 for b in beta if b % 2 == 0)
-    odds = tuple((b - 1) // 2 for b in beta if b % 2 == 1)
-    if abs(len(evens) - len(odds)) != 1:
+    value = schur_eval(lam, mirrored_point_plus(xs, x))
+    core = p_core(lam, 2)
+    if core not in ((), (1,)):
         return value == 0
-    q_even = partition_from_beta(evens)
-    q_odd = partition_from_beta(odds)
-    eps = sign_shuffle(lam)
+    q0, q1 = p_quotient(lam, 2)
     squares = [Fraction(v) ** 2 for v in xs]
-    extended = squares + [Fraction(x) ** 2]
-    if len(odds) == len(evens) + 1:
-        rhs = eps * Fraction(x) * schur_eval(q_even, squares) * schur_eval(q_odd, extended)
-    else:
-        rhs = eps * schur_eval(q_odd, squares) * schur_eval(q_even, extended)
-    return value == rhs
+    rhs = sign_shuffle(lam) * schur_eval(q0, squares) * schur_eval(q1, squares + [Fraction(x) ** 2])
+    return value == (rhs * Fraction(x) if core else rhs)
 
 
 def random_rationals(count: int, rng: random.Random, max_height: int = 20) -> list:

@@ -13,7 +13,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
 
-from .partitions import Partition, beta_mask, partitions_of, sign_shuffle
+from .partitions import Partition, beta_mask, partition_counts, partitions_of, sign_shuffle
 from .characters import even_cycle_classes, mn_character, mn_column
 from .hyperoctahedral import (
     bipartitions_of,
@@ -105,13 +105,12 @@ def _map(fn, items, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
-def sign_census(m: int, jobs: int = 1) -> SignCensus:
+def sign_census(m: int) -> SignCensus:
     """Counts of partitions of m with positive / negative / zero character on
-    the involution class, from one column; `jobs` is accepted and unused."""
+    the involution class, from one column."""
     values = mn_column(w0_class(m)).values()
     pos = sum(1 for v in values if v > 0)
-    total = sum(1 for _ in partitions_of(m))
-    return SignCensus(m, pos, len(values) - pos, total - len(values))
+    return SignCensus(m, pos, len(values) - pos, partition_counts(m)[m] - len(values))
 
 
 def dimension_match(n: int, target: str) -> bool:

@@ -384,6 +384,34 @@ def sn_character_table_young(n):
     return table
 
 
+# -- the shuffle sign by its definition ---------------------------------------
+
+
+def sign_shuffle_by_permutation(lam):
+    """Sign of the permutation that sorts the beta-set by parity, built slot by
+    slot and signed by its cycles (the library counts inversions on runners).
+
+    Even |lam|: pad to an even length r; position i of {0..r-1} carries the
+    i-th smallest bead, and sorting sends the evens to the even slots and the
+    odds to the odd slots, each in increasing order.  Odd |lam|: pad to an odd
+    length 2m+1, the reference set is {1..2m+1} with the odds on the odd slots,
+    and the sign carries an extra (-1)^m.  None when the 2-core is not () resp.
+    (1), where the sign is undefined.
+    """
+    lam = Partition(lam)
+    n = lam.size
+    r = len(lam) + (len(lam) % 2 != n % 2)
+    beads = sorted(beta_set(lam, r))
+    evens = [b for b in beads if b % 2 == 0]
+    odds = [b for b in beads if b % 2 == 1]
+    if len(odds) - len(evens) != n % 2:
+        return None
+    slot = {b: 2 * i + n % 2 for i, b in enumerate(evens)}  # 0-based
+    slot.update({b: 2 * i + 1 - n % 2 for i, b in enumerate(odds)})
+    sign = perm_sign([slot[b] for b in beads])
+    return -sign if n % 2 and len(evens) % 2 else sign
+
+
 # -- induced characters by explicit group sums -------------------------------
 
 

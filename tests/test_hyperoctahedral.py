@@ -7,7 +7,7 @@ from math import factorial
 from hypothesis import given, settings, strategies as st
 
 from octachar.partitions import Partition, add_hooks, beta_mask, parse_partition, partitions_of, p_core, p_quotient, rim_hooks
-from octachar.characters import _frontier, mn_character, product_character
+from octachar.characters import _frontier, _pair_moves, mn_character, product_character
 from octachar.hyperoctahedral import (
     BiPartition,
     basechange,
@@ -24,7 +24,6 @@ from octachar.hyperoctahedral import (
     norm,
     parse_bipartition,
     _bn_elements,
-    _pair_moves,
     _signed_cycles,
 )
 
@@ -246,13 +245,14 @@ class TestMurnaghanNakayamaB:
                 for c in _bn_classes(n):
                     assert bn_character(pair, c) == bn_character_bruteforce(pair, c), (pair, c)
 
-    def test_matches_class_fusion_at_positive_classes(self):
+    def test_matches_recursion_at_positive_classes(self):
+        # at (rho|()) the B_n character is the character induced from S_a x S_b
         for n in range(1, 9):
             for pair in bipartitions_of(n):
                 for rho in partitions_of(n):
-                    assert bn_character(pair, bn_class(rho, [])) == product_character(
-                        pair.p0, pair.p1, rho
-                    ), (pair, rho)
+                    expected = bn_by_recursion(pair, (rho, ()))
+                    assert bn_character(pair, bn_class(rho, [])) == expected, (pair, rho)
+                    assert product_character(pair.p0, pair.p1, rho) == expected, (pair, rho)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_both_orthogonality_relations(self, n):

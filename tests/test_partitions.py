@@ -15,14 +15,16 @@ from octachar.partitions import (
     p_core,
     p_quotient,
     parse_partition,
+    partition_counts,
     partition_from_beta,
     partitions_of,
     rim_hooks,
     sign_odd_parts,
     sign_shuffle,
+    _from_mask,
 )
 
-from oracles import mask_beads, rim_hook_cores, rim_hook_removals, rim_hooks_on_tuples
+from oracles import mask_beads, rim_hook_cores, rim_hook_removals, rim_hooks_on_tuples, sign_shuffle_by_permutation
 
 
 def P(text):
@@ -57,6 +59,12 @@ class TestPartitionType:
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
         for n, count in enumerate(expected):
             assert sum(1 for _ in partitions_of(n)) == count
+
+    def test_partition_counts_match_enumeration(self):
+        assert partition_counts(30) == [sum(1 for _ in partitions_of(n)) for n in range(31)]
+        assert partition_counts(0) == [1]
+        with pytest.raises(ValueError):
+            partition_counts(-1)
 
 
 class TestBetaSets:
@@ -95,6 +103,13 @@ class TestBetaSets:
     def test_roundtrip_hypothesis(self, parts, extra):
         lam = Partition(sorted(parts, reverse=True))
         assert partition_from_beta(beta_set(lam, len(lam) + extra)) == lam
+
+    def test_mask_decodes_at_any_padding(self):
+        # beads at 0..k-1 carry no part
+        for n in range(21):
+            for lam in partitions_of(n):
+                for k in range(4):
+                    assert _from_mask((beta_mask(lam) << k) | ((1 << k) - 1)) == lam
 
 
 class TestHooks:
@@ -304,6 +319,15 @@ class TestSigns:
             sign_shuffle(Partition([2, 1]))  # its own 2-core
         with pytest.raises(ValueError, match="sign undefined"):
             sign_shuffle(Partition([5, 2, 1]))
+
+    def test_shuffle_matches_permutation_definition(self):
+        for n in range(21):
+            for lam in partitions_of(n):
+                try:
+                    sign = sign_shuffle(lam)
+                except ValueError:
+                    sign = None
+                assert sign == sign_shuffle_by_permutation(lam), lam
 
     def test_odd_parts_golden(self):
         assert sign_odd_parts(P("[1^8]")) == 1

@@ -86,9 +86,6 @@ class TestCensus:
         assert census.num_positive == sum(1 for v in values if v > 0)
         assert census.num_negative == sum(1 for v in values if v < 0)
 
-    def test_parallel_agrees(self):
-        assert sign_census(10, jobs=2) == sign_census(10)
-
 
 class TestDimensionMatch:
     def test_small(self):
