@@ -84,8 +84,7 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every cache: the oracle's per-n element lists and block sums,
-    and the Frobenius expansions kept per point.  Characters keep no memo."""
-    hyperoctahedral._block_data.cache_clear()
-    hyperoctahedral._bn_elements.cache_clear()
+    """Empty every cache: the oracle's per-n class sizes and the Frobenius
+    expansions kept per point.  Characters keep no memo."""
+    hyperoctahedral._class_sizes.cache_clear()
     symfunc._frobenius_weights.cache_clear()

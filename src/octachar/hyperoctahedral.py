@@ -11,9 +11,10 @@ and by the sign character on each Z/2 of the p1 factor.
 Characters come from the type-B Murnaghan-Nakayama rule on the beta-set
 bitmasks of p0 and p1, with no memo: one value top-down (`bn_character`), or a
 whole column over (p0, p1) at one class bottom-up (`bn_column`); a class's
-cycle lengths may come in any order.  An independent oracle sums the induced
-character over all 2^n n! group elements (`bn_character_bruteforce`, n <= 6);
-it enumerates the group once per n.
+cycle lengths may come in any order.  An independent oracle induces the
+character from B_a x B_b (`bn_character_bruteforce`, n <= 6), weighting the
+class pairs of B_a and B_b by class sizes counted over all 2^k k! elements of
+B_k, once per k.
 
 An element is stored as a tuple g of length n with g[i] = image of i+1 in
 {+-1..+-n}; the image of -(i+1) is forced to -g[i].
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from .partitions import (
@@ -193,13 +194,18 @@ def _signed_cycles(c: BnClass) -> list:
 # -- explicit signed-permutation machinery (small-n oracle) ------------------
 
 
-@lru_cache(maxsize=None)
 def _bn_elements(n: int) -> tuple:
     return tuple(
         tuple(s * p for s, p in zip(signs, perm))
         for perm in itertools.permutations(range(1, n + 1))
         for signs in itertools.product((1, -1), repeat=n)
     )
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> Counter:
+    """{class: size} from one pass over the 2^n n! elements of B_n."""
+    return Counter(map(bn_class_of, _bn_elements(n)))
 
 
 def bn_class_of(g) -> BnClass:
@@ -222,51 +228,16 @@ def bn_class_of(g) -> BnClass:
     return BnClass(_partition(sorted(pos, reverse=True)), _partition(sorted(neg, reverse=True)))
 
 
-def _block_cycle_type(g, lo: int, hi: int) -> Partition:
-    """Cycle type of the underlying permutation restricted to points lo+1..hi."""
-    seen = [False] * (hi - lo)
-    lengths = []
-    for i in range(lo, hi):
-        if seen[i - lo]:
-            continue
-        j, length = i, 0
-        while not seen[j - lo]:
-            seen[j - lo] = True
-            j = abs(g[j]) - 1
-            length += 1
-        lengths.append(length)
-    return _partition(sorted(lengths, reverse=True))
-
-
-@lru_cache(maxsize=None)
-def _block_data(n: int) -> dict:
-    """{(class, a): {(sign, type1, type2): count}} from one pass over B_n: each
-    element u that preserves the blocks 1..a and a+1..n is counted under its
-    sign (-1)^(negative signs in the second block) and the cycle types of the
-    underlying permutation on the two blocks.  Counts are scaled by |Z(class)|,
-    so they count the conjugates t^-1 g t over all t for one g in the class."""
-    counts = {}
-    for u in _bn_elements(n):
-        c = bn_class_of(u)
-        for a, top in enumerate(itertools.accumulate(map(abs, u), max, initial=0)):
-            if top == a:  # u maps 1..a onto 1..a
-                sign = -1 if sum(1 for x in u[a:] if x < 0) % 2 else 1
-                block = counts.setdefault((c, a), Counter())
-                block[sign, _block_cycle_type(u, 0, a), _block_cycle_type(u, a, n)] += 1
-    return {  # every element preserves the blocks at a = 0, so counts[c, 0] has the class size
-        (c, a): {data: count * len(_bn_elements(n)) // counts[c, 0].total() for data, count in block.items()}
-        for (c, a), block in counts.items()
-    }
-
-
 def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
-    """Oracle character of the irreducible (p0, p1) at any class, by explicit
-    summation of the induced character over all 2^n n! group elements.
+    """Oracle character of the irreducible (p0, p1) at any class, induced from
+    A = B_a x B_b with a = |p0|, b = |p1|.
 
-    The inducing subgroup is (Z/2)^n x| (S_a x S_b) with a = |p0|, b = |p1|;
-    its character at a block-preserving element is (-1)^(negative signs in the
-    second block) times the product of the block cycle-type characters.  The
-    group is enumerated once per n and grouped by class, a and that data.
+    On A the inducing character is chi_p0 on B_a times chi_p1 twisted by the
+    signs on B_b, i.e. (-1)^(negative cycles), each read at the underlying cycle
+    type.  Ind_A^G psi(c) = (|Z(c)|/|A|) sum over h in A meeting c of psi(h),
+    and |B_n|/|A| = C(n, a), so the value is C(n, a) / |c| times the sum over
+    the class pairs (c0, c1) of B_a, B_b whose positive and negative cycles
+    unite to c, weighted by the class sizes counted in `_class_sizes`.
     """
     p0, p1 = Partition(pi[0]), Partition(pi[1])
     c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
@@ -277,11 +248,14 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
         raise ValueError("oracle scale exceeded: n = %d > 6" % n)
     a, b = p0.size, p1.size
     acc = sum(
-        count * sign * mn_character(p0, type1) * mn_character(p1, type2)
-        for (sign, type1, type2), count in _block_data(n).get((c, a), {}).items()
+        k0 * k1 * (-1) ** len(c1.negative) * mn_character(p0, c0.positive + c0.negative)
+        * mn_character(p1, c1.positive + c1.negative)
+        for c0, k0 in _class_sizes(a).items()
+        for c1, k1 in _class_sizes(b).items()
+        if _cycle_type(c0.positive + c1.positive) == c.positive
+        and _cycle_type(c0.negative + c1.negative) == c.negative
     )
-    order_a = 2**n * factorial(a) * factorial(b)
-    q, r = divmod(acc, order_a)
+    q, r = divmod(comb(n, a) * acc, _class_sizes(n)[c])
     if r:
-        raise ArithmeticError("induced character sum not divisible by |A|")
+        raise ArithmeticError("induced character sum not divisible by the class size")
     return q

@@ -227,12 +227,11 @@ def from_core_and_quotient(core, quotient, p: int) -> Partition:
     if p_core(core, p) != core:
         raise ValueError("not a p-core: %s has a hook divisible by %d" % (core, p))
 
-    mask = _padded_mask(core, p)
-    while any(runner.bit_count() < len(q) for runner, q in zip(_runners(mask, p), quotient)):
-        mask = (mask << p) | ((1 << p) - 1)  # one more bead at the foot of each runner
+    beads_on = [runner.bit_count() for runner in _runners(_padded_mask(core, p), p)]
+    extra = max(0, *(len(q) - k for k, q in zip(beads_on, quotient)))  # beads to add at each runner's foot
     merged = 0
-    for i, (runner, q) in enumerate(zip(_runners(mask, p), quotient)):
-        pad = runner.bit_count() - len(q)
+    for i, (k, q) in enumerate(zip(beads_on, quotient)):
+        pad = k + extra - len(q)
         beads = (beta_mask(q) << pad) | ((1 << pad) - 1)
         for j in range(beads.bit_length()):
             merged |= (beads >> j & 1) << (p * j + i)

@@ -116,6 +116,8 @@ def sign_census(m: int) -> SignCensus:
 def dimension_match(n: int, target: str) -> bool:
     """True when B_n irreducible dimensions and the nonzero |character at the
     involution| over S_2n (or S_2n+1) agree as multisets."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if target not in ("even", "odd"):
         raise ValueError("target must be 'even' or 'odd', got %r" % (target,))
     dims = sorted(bn_dimension(pair) for pair in bipartitions_of(n))

@@ -1,0 +1,39 @@
+"""`octachar.clear_caches` empties every cache the library keeps.
+
+The caches are found by looking for `cache_clear` on the attributes of every
+`octachar` module, so a cache added later and left out of `clear_caches` fails
+here.  Each cache is filled first, so an empty cache cannot pass by accident.
+"""
+
+import importlib
+import pkgutil
+from fractions import Fraction
+
+import octachar
+from octachar import bipartition, bn_character_bruteforce, bn_class, verify_frobenius
+from octachar.partitions import Partition
+
+
+def _library_caches():
+    caches = {}
+    for info in pkgutil.iter_modules(octachar.__path__):
+        module = importlib.import_module("octachar." + info.name)
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear"):
+                caches[id(value)] = ("%s.%s" % (info.name, name), value)
+    return sorted(caches.values(), key=lambda item: item[0])
+
+
+def test_caches_are_found():
+    names = {name for name, _ in _library_caches()}
+    assert "symfunc._frobenius_weights" in names
+    assert any(name.startswith("hyperoctahedral.") for name in names)
+
+
+def test_clear_caches_empties_every_cache():
+    caches = _library_caches()
+    bn_character_bruteforce(bipartition([2], [1]), bn_class([1], [2]))
+    verify_frobenius(Partition([2, 1]), [Fraction(1), Fraction(2), Fraction(3)])
+    assert [name for name, cache in caches if cache.cache_info().currsize == 0] == []
+    octachar.clear_caches()
+    assert [name for name, cache in caches if cache.cache_info().currsize > 0] == []

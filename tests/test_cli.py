@@ -194,6 +194,8 @@ class TestCensusSweepDims:
             ("verify", "frobenius", "--max-size", "0"),
             ("verify", "even-fact", "--max-size", "0"),
             ("verify", "odd-fact", "--max-size", "-1"),
+            ("dims", "--n", "0", "--target", "even"),
+            ("dims", "--n", "-1", "--target", "odd"),
         ],
     )
     def test_empty_range_is_an_error(self, capsys, argv):

@@ -24,6 +24,7 @@ from octachar.hyperoctahedral import (
     norm,
     parse_bipartition,
     _bn_elements,
+    _class_sizes,
     _signed_cycles,
 )
 
@@ -208,6 +209,13 @@ class TestBruteForceOracle:
                 inner = sum(sizes[c] * table[a][c] * table[b][c] for c in sizes)
                 assert inner == (order if a == b else 0)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_class_sizes_count_the_group(self, n):
+        sizes = _class_sizes(n)
+        order = 2**n * factorial(n)
+        assert sum(sizes.values()) == order
+        assert sizes == {c: order // _bn_centralizer_order(c) for c in _bn_classes(n)}
+
     def test_dimension_column(self):
         for n in range(1, 5):
             identity = bn_class([1] * n, [])
@@ -244,6 +252,14 @@ class TestMurnaghanNakayamaB:
             for pair in bipartitions_of(n):
                 for c in _bn_classes(n):
                     assert bn_character(pair, c) == bn_character_bruteforce(pair, c), (pair, c)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_oracle_at_every_class_up_to_its_scale(self, n):
+        for c in _bn_classes(n):
+            column = bn_column(c)
+            for pair in bipartitions_of(n):
+                value = column.get((beta_mask(pair.p0), beta_mask(pair.p1)), 0)
+                assert bn_character_bruteforce(pair, c) == value, (pair, c)
 
     def test_matches_recursion_at_positive_classes(self):
         # at (rho|()) the B_n character is the character induced from S_a x S_b
