@@ -58,7 +58,6 @@ from .symfunc import (
     det,
     mirrored_point,
     mirrored_point_plus,
-    power_sum,
     random_rationals,
     schur_eval,
     verify_factorization_even,

@@ -9,14 +9,15 @@ exponent than the interpreter's int/str digit limit (4300 by default), refused
 before it is built, or a `schur` result with more than 100,000 digits
 (`RESULT_DIGITS`; a shorter one prints in full, past the 4300-digit limit).
 Randomized verification commands print their seed in the report header.
-`sweep --jobs` (default 1) caps the worker processes, one value of n each;
-`census` accepts `--jobs` and runs in one process.
+`sweep --jobs` (default 1) caps the worker processes, one value of n each, so
+at most min(jobs, max) start; `census` accepts `--jobs` and runs in one process.
+A command imports only what it runs: `multiprocessing` loads only when `sweep`
+starts more than one worker, and `json` only for `table --json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -204,6 +205,8 @@ def _table_row_object(row) -> dict:
 def _cmd_table(args) -> int:
     result = build_table(args.n)
     if args.json:
+        import json
+
         for row in result.rows:
             print(json.dumps(_table_row_object(row)))
         print(

@@ -1,4 +1,4 @@
-"""Exact rational evaluation of Schur polynomials and power sums.
+"""Exact rational evaluation of Schur polynomials.
 
 Schur values come from the bialternant det(x_i^(lam_j + d - j)) / det(x_i^(d-j))
 on an integer kernel.  Writing each coordinate as x_i = a_i/b_i, the point's
@@ -29,13 +29,6 @@ from math import factorial, gcd, lcm, prod
 
 from .partitions import Partition, beta_mask, beta_set, p_core, p_quotient, partitions_of, sign_shuffle
 from .characters import class_size, mn_column
-
-
-def power_sum(r: int, values) -> Fraction:
-    """p_r at the point: sum of r-th powers."""
-    if r < 1:
-        raise ValueError("power sum index must be at least 1")
-    return sum((Fraction(v) ** r for v in values), Fraction(0))
 
 
 def _det_int_bareiss(m: list) -> int:
@@ -87,18 +80,19 @@ def det(rows) -> Fraction:
 def schur_eval(lam, values) -> Fraction:
     """Schur polynomial s_lam at the given point, as an exact rational."""
     lam = Partition(lam)
-    vals = [Fraction(v) for v in values]
+    vals = [v if type(v) is Fraction else Fraction(v) for v in values]
     d = len(vals)
     if len(lam) > d:
         raise ValueError(
             "too many parts: %d parts in %d variables" % (len(lam), d)
         )
-    if len(set(vals)) != d:
+    nums = [v.numerator for v in vals]
+    dens = [v.denominator for v in vals]
+    # Fractions are normalized, so equal values have equal (numerator, denominator).
+    if len(set(zip(nums, dens))) != d:
         raise ValueError("Weyl denominator vanishes: point values must be distinct")
     if d == 0:
         return Fraction(1)
-    nums = [v.numerator for v in vals]
-    dens = [v.denominator for v in vals]
     exponents = beta_set(lam, d)
     top = exponents[0]
     numerator = _det_int_bareiss(

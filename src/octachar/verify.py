@@ -4,14 +4,16 @@ These drive the other modules over whole families of partitions and classes.
 They read characters by columns (`characters.mn_column`,
 `hyperoctahedral.bn_column`): the involution consumers read the column at
 `w0_class(m)`, and the sweep builds its columns once per n and checks each pair
-by lookups.  The sweep can farm the values of n out to worker processes.
+by lookups.  The sweep can farm the values of n out to worker processes; it
+imports `multiprocessing` only when it starts more than one, so a run that
+starts no pool does not pay for loading it.  The records are `NamedTuple`s and
+one plain class, not dataclasses, for the same reason.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from .partitions import Partition, beta_mask, partition_counts, partitions_of, sign_shuffle
 from .characters import even_cycle_classes, mn_character, mn_column
@@ -33,8 +35,7 @@ def w0_class(m: int) -> Partition:
     return Partition([2] * (m // 2) + [1] * (m % 2))
 
 
-@dataclass(frozen=True)
-class CorrespondenceRow:
+class CorrespondenceRow(NamedTuple):
     """One line of the 2n <-> 2n+1 correspondence through a bipartition.
 
     `sign` is the shuffle sign of lambda_even, so theta_even = sign * bn_dim;
@@ -49,8 +50,7 @@ class CorrespondenceRow:
     bn_dim: int
 
 
-@dataclass(frozen=True)
-class TableResult:
+class TableResult(NamedTuple):
     n: int
     rows: tuple
     excluded_even: tuple
@@ -85,8 +85,7 @@ def build_table(n: int) -> TableResult:
     return TableResult(n, tuple(rows), excluded_even, excluded_odd)
 
 
-@dataclass(frozen=True)
-class SignCensus:
+class SignCensus(NamedTuple):
     m: int
     num_positive: int
     num_negative: int
@@ -98,9 +97,13 @@ class SignCensus:
 
 
 def _map(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], on `jobs` worker processes when jobs > 1."""
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    """[fn(item) for item in items], on min(jobs, len(items)) worker processes
+    when that is more than one, else in this process."""
+    workers = min(jobs, len(items))
+    if workers > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(workers) as pool:
             return pool.map(fn, items, chunksize=1)
     return [fn(item) for item in items]
 
@@ -125,12 +128,12 @@ def dimension_match(n: int, target: str) -> bool:
     return dims == thetas
 
 
-@dataclass
 class SweepReport:
-    n_max: int
-    checked: int = 0
-    oracle_checked: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, n_max: int, checked: int = 0, oracle_checked: int = 0, failures: list | None = None):
+        self.n_max = n_max
+        self.checked = checked
+        self.oracle_checked = oracle_checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

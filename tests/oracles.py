@@ -4,7 +4,8 @@ Nothing here shares algorithms with the library paths it checks: cores are
 recomputed by literal diagram surgery, Schur values by semistandard-tableau
 enumeration, symmetric-group characters by Young symmetrizer left ideals,
 determinants by cofactor expansion, and induced characters by summation over
-the full group.  Rim hooks have two reference routes: cell-by-cell diagram
+the full group.  Power sums, which no library route needs, are summed
+directly.  Rim hooks have two reference routes: cell-by-cell diagram
 surgery, and bead moves on tuple beta-sets (the library moves beads on int
 bitmasks).  Characters of S_m and B_n have a reference route in the
 remove-hooks recursion on tuple beta-sets (the library goes by layers of
@@ -270,6 +271,13 @@ def schur_by_tableaux(lam, values):
 
     walk(0, None, Fraction(1))
     return total
+
+
+def power_sum(r, values):
+    """p_r at the point: sum of r-th powers."""
+    if r < 1:
+        raise ValueError("power sum index must be at least 1")
+    return sum((Fraction(v) ** r for v in values), Fraction(0))
 
 
 # -- determinants by cofactor expansion --------------------------------------

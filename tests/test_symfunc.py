@@ -19,7 +19,6 @@ from octachar.symfunc import (
     frobenius_sweep,
     mirrored_point,
     mirrored_point_plus,
-    power_sum,
     random_rationals,
     schur_eval,
     verify_factorization_even,
@@ -27,7 +26,7 @@ from octachar.symfunc import (
     verify_frobenius,
 )
 
-from oracles import det_cofactor, interpolate_coefficients, mn_by_recursion, schur_by_tableaux
+from oracles import det_cofactor, interpolate_coefficients, mn_by_recursion, power_sum, schur_by_tableaux
 
 
 F = Fraction
