@@ -2,21 +2,23 @@
 
 Conjugacy classes of S_m are identified with their cycle-type partitions.
 Character values come from the Murnaghan-Nakayama rule on beta-set bitmasks
-(`partitions.beta_mask`), one layer of partitions per cycle, with no memo.  A
-single value removes the cycles top-down from {mask of lam: 1} with
-`partitions.rim_hooks`; a whole column {mask: chi_lam(rho)} at one class grows
-bottom-up from the empty partition with `partitions.add_hooks`, and
-`character_table` is one column per class.  The character induced from
-S_a x S_b runs the same layers on pairs of masks (`_pair_moves`), the frontier
-that `hyperoctahedral` uses for B_n characters.
+(`partitions.beta_mask`), one `partitions.hook_layer` per cycle, with no memo.
+A single value removes the cycles top-down from {mask of lam: 1}, iteratively,
+so the number of cycles is not bounded by the stack; columns {mask:
+chi_lam(rho)} grow from the empty partition, shortest cycle first, and
+`mn_columns` builds a family's columns in one walk that expands each shared
+prefix once (`character_table` 15: 351 layers for 176 columns).  The character
+induced from S_a x S_b runs the same layers on pairs of masks (`_pair_layer`),
+the frontier that `hyperoctahedral` uses for B_n characters.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from math import factorial, prod
 
-from .partitions import Partition, _cycle_type, _partition, add_hooks, beta_mask, hook_lengths, partitions_of, rim_hooks
+from .partitions import Partition, _cycle_type, _partition, beta_mask, hook_layer, hook_lengths, partitions_of
 
 
 def centralizer_order(rho) -> int:
@@ -55,39 +57,50 @@ def mn_character(lam, rho) -> int:
         raise ValueError(
             "size mismatch: partition of %d against class of %d" % (lam.size, rho.size)
         )
-    return _frontier({beta_mask(lam): 1}, rho, rim_hooks).get(0, 0)
+    return reduce(hook_layer, rho, {beta_mask(lam): 1}).get(0, 0)  # top-down, one layer per cycle
 
 
 def mn_column(rho) -> dict:
     """{beta_mask(lam): chi_lam(rho)} over the lam of |rho| with a nonzero value.
     Enumerates every such lam, so a class with many cycles makes a large column."""
-    return _frontier({0: 1}, reversed(_cycle_type(rho)), add_hooks)
+    return mn_columns([rho]).popitem()[1]
 
 
-def _frontier(frontier: dict, lengths, moves) -> dict:
-    """Murnaghan-Nakayama by layers: for each length t every key moves by
-    `moves(key, t)`, a stream of (moved key, sign); equal keys merge and zeros
-    drop, so a layer of canonical masks over partitions of k has at most p(k)
-    keys.  Iterative, so the number of cycles is not bounded by the stack."""
-    for t in lengths:
-        layer = {}
-        for key, value in frontier.items():
-            for moved, sign in moves(key, t):
-                layer[moved] = layer.get(moved, 0) + (value if sign > 0 else -value)
-        frontier = {key: value for key, value in layer.items() if value}
-    return frontier
+def mn_columns(classes) -> dict:
+    """{rho: mn_column(rho)} for a family of classes, in their order, from one `_walk`."""
+    return _walk({0: 1}, {rho: tuple(reversed(rho)) for rho in map(_cycle_type, classes)}, hook_layer)
 
 
-def _pair_moves(hooks):
-    """Moves of a (mask0, mask1) key by a signed cycle length: `hooks` acts on
-    either mask, with the sign negated in mask1 for a negative cycle."""
-    def moves(key, t):
-        mask0, mask1 = key
-        for moved, sign in hooks(mask0, abs(t)):
-            yield (moved, mask1), sign
-        for moved, sign in hooks(mask1, abs(t)):
-            yield (mask0, moved), sign if t > 0 else -sign
-    return moves
+def _walk(start: dict, sequences: dict, layer) -> dict:
+    """{key: `start` grown by adding hooks of the lengths sequences[key]} in one
+    depth-first walk: in lexicographic order, the frontier after each prefix of
+    the current sequence stays on a stack, so a shared prefix is expanded once."""
+    columns, stack = {}, [((), start)]  # (prefix, frontier after it)
+    for key, lengths in sorted(sequences.items(), key=lambda item: item[1]):
+        while lengths[: len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        for t in lengths[len(stack[-1][0]) :]:
+            stack.append((stack[-1][0] + (t,), layer(stack[-1][1], t, True)))
+        columns[key] = stack[-1][1]
+    return {key: columns[key] for key in sequences}
+
+
+def _pair_layer(frontier: dict, t: int, add: bool = False) -> dict:
+    """`hook_layer` on (mask0, mask1) keys at a signed cycle length t: the hook
+    goes into mask0, or into mask1 with its sign negated when t < 0.  Keys are
+    grouped by the mask that stays, and the layer runs once per group."""
+    by1, by0, length = {}, {}, abs(t)
+    for (mask0, mask1), value in frontier.items():
+        by1.setdefault(mask1, {})[mask0] = value
+        by0.setdefault(mask0, {})[mask1] = value if t > 0 else -value
+    layer = {(mask0, mask1): value for mask1, group in by1.items()
+             for mask0, value in hook_layer(group, length, add).items()}
+    for mask0, group in by0.items():
+        for mask1, value in hook_layer(group, length, add).items():
+            layer[mask0, mask1] = layer.get((mask0, mask1), 0) + value
+    if 0 in layer.values():
+        layer = {key: value for key, value in layer.items() if value}
+    return layer
 
 
 def product_character(p0, p1, rho) -> int:
@@ -105,7 +118,7 @@ def product_character(p0, p1, rho) -> int:
         raise ValueError(
             "size mismatch: class of %d against factors of %d and %d" % (rho.size, a, b)
         )
-    return _frontier({(beta_mask(p0), beta_mask(p1)): 1}, rho, _pair_moves(rim_hooks)).get((0, 0), 0)
+    return reduce(_pair_layer, rho, {(beta_mask(p0), beta_mask(p1)): 1}).get((0, 0), 0)
 
 
 def even_cycle_classes(m: int):
@@ -126,7 +139,10 @@ def character_table(m: int) -> tuple:
     lexicographic order.
     """
     lams = sorted(partitions_of(m))
-    classes = sorted(partitions_of(m))
-    columns = [mn_column(rho) for rho in classes]
-    rows = [[column.get(mask, 0) for column in columns] for mask in map(beta_mask, lams)]
+    classes = list(lams)
+    index = {beta_mask(lam): i for i, lam in enumerate(lams)}
+    rows = [[0] * len(classes) for _ in lams]
+    for j, column in enumerate(mn_columns(classes).values()):
+        for mask, value in column.items():
+            rows[index[mask]][j] = value
     return lams, classes, rows

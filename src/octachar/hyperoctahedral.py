@@ -9,12 +9,12 @@ by bipartitions (p0, p1); the (Z/2)^n block acts trivially on the p0 factor
 and by the sign character on each Z/2 of the p1 factor.
 
 Characters come from the type-B Murnaghan-Nakayama rule on the beta-set
-bitmasks of p0 and p1, with no memo: one value top-down (`bn_character`), or a
-whole column over (p0, p1) at one class bottom-up (`bn_column`); a class's
-cycle lengths may come in any order.  An independent oracle induces the
-character from B_a x B_b (`bn_character_bruteforce`, n <= 6), weighting the
-class pairs of B_a and B_b by class sizes counted over all 2^k k! elements of
-B_k, once per k.
+bitmasks of p0 and p1, with no memo: one value top-down (`bn_character`), or
+the columns over (p0, p1) of a family of classes bottom-up in one walk
+(`bn_columns`); a class's cycle lengths may come in any order.  An independent
+oracle induces the character from B_a x B_b (`bn_character_bruteforce`,
+n <= 6), weighting the class pairs of B_a and B_b by class sizes counted over
+all 2^k k! elements of B_k, once per k.
 
 An element is stored as a tuple g of length n with g[i] = image of i+1 in
 {+-1..+-n}; the image of -(i+1) is forced to -g[i].
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from typing import NamedTuple
 
@@ -39,10 +39,8 @@ from .partitions import (
     _partition,
     _skip_ws,
     beta_mask,
-    add_hooks,
-    rim_hooks,
 )
-from .characters import _frontier, _pair_moves, dimension, mn_character
+from .characters import _pair_layer, _walk, dimension, mn_character
 
 
 class BiPartition(NamedTuple):
@@ -176,14 +174,19 @@ def bn_character(pi: BiPartition, c: BnClass) -> int:
         raise ValueError(
             "size mismatch: class of B_%d against irreducible of B_%d" % (c.n, p0.size + p1.size)
         )
-    return _frontier({(beta_mask(p0), beta_mask(p1)): 1}, _signed_cycles(c), _pair_moves(rim_hooks)).get((0, 0), 0)
+    return reduce(_pair_layer, _signed_cycles(c), {(beta_mask(p0), beta_mask(p1)): 1}).get((0, 0), 0)
 
 
 def bn_column(c: BnClass) -> dict:
     """{(beta_mask(p0), beta_mask(p1)): character} over the irreducibles of B_n
-    with a nonzero value at the class c, grown bottom-up by `add_hooks`."""
-    c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
-    return _frontier({(0, 0): 1}, reversed(_signed_cycles(c)), _pair_moves(add_hooks))
+    with a nonzero value at the class c, grown bottom-up by adding hooks."""
+    return bn_columns([c]).popitem()[1]
+
+
+def bn_columns(classes) -> dict:
+    """{c: bn_column(c)} for a family of classes, in their order, from one `characters._walk`."""
+    classes = [BnClass(_cycle_type(c[0]), _cycle_type(c[1])) for c in classes]
+    return _walk({(0, 0): 1}, {c: tuple(reversed(_signed_cycles(c))) for c in classes}, _pair_layer)
 
 
 def _signed_cycles(c: BnClass) -> list:
@@ -252,8 +255,8 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
         * mn_character(p1, c1.positive + c1.negative)
         for c0, k0 in _class_sizes(a).items()
         for c1, k1 in _class_sizes(b).items()
-        if _cycle_type(c0.positive + c1.positive) == c.positive
-        and _cycle_type(c0.negative + c1.negative) == c.negative
+        if tuple(sorted(c0.positive + c1.positive, reverse=True)) == c.positive
+        and tuple(sorted(c0.negative + c1.negative, reverse=True)) == c.negative
     )
     q, r = divmod(comb(n, a) * acc, _class_sizes(n)[c])
     if r:

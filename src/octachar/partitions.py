@@ -4,12 +4,13 @@ Everything here works through beta-sets (strictly decreasing non-negative
 integers).  A partition padded with zeros to r parts corresponds to the
 beta-set {lam_i + r - i : i = 1..r}; removing a rim hook of length t is the
 bead move b -> b - t.  The library holds a beta-set as an int bitmask
-(`beta_mask`, bit b set when b is a bead), on which `rim_hooks` and its inverse
-`add_hooks` find every move with a few shifts.  The p-core is what `rim_hooks`
-leaves at length p; quotients and the shuffle sign are read off the p abacus
-runners of the mask (runner i holds the beads congruent to i mod p).  Padding
-length matters for the p-quotient and for the shuffle sign, so the convention
-is fixed once here (`_padded_mask`):
+(`beta_mask`, bit b set when b is a bead).  The one copy of the bead-move
+arithmetic, `hook_layer`, moves a whole frontier {mask: value} by one hook
+length.  The p-core is what removing p-hooks one at a time leaves; quotients
+and the shuffle sign are read off the p abacus runners of the mask (runner i
+holds the beads congruent to i mod p), and `_interleave` puts runners back
+together.  Padding length matters for the p-quotient and for the shuffle sign,
+so the convention is fixed once here (`_padded_mask`):
 
   * p = 2: pad to the smallest length with the parity of |lam|.  This makes
     the 2-quotient of a partition of 2n and of its partner of 2n+1 (same
@@ -122,32 +123,30 @@ def beta_mask(lam) -> int:
     return mask
 
 
-def rim_hooks(mask: int, t: int):
-    """Yield (removed, sign) for every rim hook of length t >= 1 of the partition
-    with beta-set bitmask `mask`: each bead b >= t with b - t free moves there,
-    with sign (-1)^leg, the leg being the beads strictly between.  `removed` is
-    canonical: beads at 0, 1, ..., k - 1 carry no part and are shifted out."""
-    return _bead_moves(mask, (mask & ~(mask << t)) >> t, t)
-
-
-def add_hooks(mask: int, t: int):
-    """Yield (added, sign) for every partition that `rim_hooks(added, t)` takes
-    to the one with bitmask `mask`: the inverse move.  Padded with beads at
-    0..t-1, each bead b with b + t free moves there; `added` is canonical."""
-    mask = (mask << t) | ((1 << t) - 1)
-    return _bead_moves(mask, mask & ~(mask >> t), t)
-
-
-def _bead_moves(mask: int, moves: int, t: int):
-    """For each bit j of `moves`, swap the bead and the gap at j and j + t;
-    yield the canonical result and (-1)^(beads strictly between)."""
-    while moves:
-        low = moves & -moves
-        moves ^= low
-        moved = mask ^ (low << t) ^ low
-        if moved & 1:
-            moved >>= (moved ^ (moved + 1)).bit_length() - 1
-        yield moved, -1 if (mask & ((low << t) - (low << 1))).bit_count() & 1 else 1
+def hook_layer(frontier: dict, t: int, add: bool = False) -> dict:
+    """{mask: value} -> {moved: sum of +-value} over every rim hook of length t
+    removed from (with `add`, added to) each mask: a bead b moves to a free
+    b - t (b + t, after padding beads at 0..t-1) with sign (-1)^(beads between).
+    Equal results merge, zeros drop, and beads at 0..k-1 are shifted out."""
+    layer = {}
+    get = layer.get
+    for mask, value in frontier.items():
+        if add:
+            mask = ((mask + 1) << t) - 1  # beads at 0..t-1 under mask
+            moves = mask & ~(mask >> t)
+        else:
+            moves = (mask & ~(mask << t)) >> t
+        while moves:
+            low = moves & -moves
+            moves ^= low
+            high = low << t
+            moved = mask ^ high ^ low
+            if moved & 1:
+                moved >>= (moved ^ (moved + 1)).bit_length() - 1
+            layer[moved] = get(moved, 0) + (-value if (mask & (high - (low << 1))).bit_count() & 1 else value)
+    if 0 in layer.values():
+        layer = {key: value for key, value in layer.items() if value}
+    return layer
 
 
 def hook_lengths(lam) -> list:
@@ -173,10 +172,33 @@ def _from_mask(mask: int) -> Partition:
 def _runners(mask: int, p: int) -> list:
     """The p abacus runners of a bitmask: bit j of runner i is bit p*j + i."""
     runners = [0] * p
-    for b in range(mask.bit_length()):
-        if mask >> b & 1:
-            runners[b % p] |= 1 << (b // p)
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        j, i = divmod(low.bit_length() - 1, p)
+        runners[i] |= 1 << j
     return runners
+
+
+def _interleave(runners) -> int:
+    """Inverse of `_runners`: bit j of runner i goes to bit p*j + i."""
+    p, mask = len(runners), 0
+    for i, runner in enumerate(runners):
+        while runner:
+            low = runner & -runner
+            runner ^= low
+            mask |= 1 << (p * (low.bit_length() - 1) + i)
+    return mask
+
+
+def _quotient_mask(core: int, masks) -> int:
+    """Canonical bitmask of the partition with p-quotient bitmasks `masks` and the
+    p-core of padded bitmask `core`: its flush runners go under the masks."""
+    beads_on = [runner.bit_count() for runner in _runners(core, len(masks))]
+    extra = max(0, *(mask.bit_count() - k for k, mask in zip(beads_on, masks)))
+    # ((mask + 1) << pad) - 1 is mask shifted up over pad beads at its foot
+    merged = _interleave([((mask + 1) << (k + extra - mask.bit_count())) - 1 for k, mask in zip(beads_on, masks)])
+    return merged >> ((merged ^ (merged + 1)).bit_length() - 1)
 
 
 def _padded_mask(lam, p: int) -> int:
@@ -186,15 +208,16 @@ def _padded_mask(lam, p: int) -> int:
 
 
 def p_core(lam, p: int) -> Partition:
-    """The partition left after removing rim hooks of length p until none is left
-    (the result does not depend on the order, a classical fact the tests check)."""
+    """The partition left after removing rim hooks of length p, one at a time,
+    until none is left (the result does not depend on the order, a classical
+    fact the tests check)."""
     lam = Partition(lam)
     if p < 2:
         raise ValueError("p must be at least 2")
-    move = (beta_mask(lam), 1)
-    while move:
-        mask, _ = move
-        move = next(rim_hooks(mask, p), None)
+    layer = {beta_mask(lam): 1}
+    while layer:
+        mask = next(iter(layer))
+        layer = hook_layer({mask: 1}, p)
     return _from_mask(mask)
 
 
@@ -227,15 +250,7 @@ def from_core_and_quotient(core, quotient, p: int) -> Partition:
     if p_core(core, p) != core:
         raise ValueError("not a p-core: %s has a hook divisible by %d" % (core, p))
 
-    beads_on = [runner.bit_count() for runner in _runners(_padded_mask(core, p), p)]
-    extra = max(0, *(len(q) - k for k, q in zip(beads_on, quotient)))  # beads to add at each runner's foot
-    merged = 0
-    for i, (k, q) in enumerate(zip(beads_on, quotient)):
-        pad = k + extra - len(q)
-        beads = (beta_mask(q) << pad) | ((1 << pad) - 1)
-        for j in range(beads.bit_length()):
-            merged |= (beads >> j & 1) << (p * j + i)
-    result = _from_mask(merged)
+    result = _from_mask(_quotient_mask(_padded_mask(core, p), [beta_mask(q) for q in quotient]))
     assert result.size == core.size + p * sum(q.size for q in quotient)
     return result
 
@@ -255,11 +270,17 @@ def sign_shuffle(lam) -> int:
     size, and in c_k + k at odd size.
     """
     lam = Partition(lam)
-    odd_size = lam.size % 2
-    even, odd = _runners(_padded_mask(lam, 2), 2)
+    return _shuffle_sign(beta_mask(lam), lam.size)
+
+
+def _shuffle_sign(mask: int, size: int) -> int:
+    """`sign_shuffle` of the partition of `size` with canonical bitmask `mask`."""
+    odd_size = size % 2
+    pad = (mask.bit_count() + size) % 2
+    even, odd = _runners((mask << pad) | pad, 2)
     m = even.bit_count()
     if odd.bit_count() != m + odd_size:
-        raise ValueError("sign undefined: 2-core of %s is not %s" % (lam, "(1)" if odd_size else "empty"))
+        raise ValueError("sign undefined: 2-core of %s is not %s" % (_from_mask(mask), "(1)" if odd_size else "empty"))
     inversions = m * odd_size
     for k in range(m + odd_size):
         low = odd & -odd

@@ -7,7 +7,8 @@ a_i^e * b_i^(top-e), whose determinant is taken by fraction-free (Bareiss)
 elimination, and the Weyl denominator is the closed-form Vandermonde
 prod_{i<j} (a_i b_j - a_j b_i).  One Fraction is built per value.  The
 power-sum expansions of all Schur functions of one size are cached per point,
-over one denominator, from one character column per class.
+over one denominator, from the character columns of all classes of that size,
+built in one walk (`characters.mn_columns`).
 No symbolic polynomial ring is involved: the factorization identities are
 checked by evaluating both sides at rational points, which decides polynomial
 identities exactly when swept over seeded random points.  Both Littlewood
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
 from .partitions import Partition, beta_mask, beta_set, p_core, p_quotient, partitions_of, sign_shuffle
-from .characters import class_size, mn_column
+from .characters import class_size, mn_columns
 
 
 def _det_int_bareiss(m: list) -> int:
@@ -135,7 +136,7 @@ def mirrored_point_plus(xs, x) -> tuple:
 def _frobenius_weights(size: int, values: tuple) -> tuple:
     """Power-sum expansions of the Schur functions of `size` at the point, as
     ({beta_mask(mu): sum over rho of chi_mu(rho) w_rho}, denominator), read
-    from one column per class (an absent mu has the value 0).  Here
+    from the columns of every class (an absent mu has the value 0).  Here
     p_rho/|Z(rho)| = w_rho / denominator: with L the lcm of the point's
     denominators, p_r is P_r / L^r for an integer P_r, and
     1/|Z(rho)| = class_size(rho) / size!, so w_rho = class_size(rho) * prod P_r
@@ -145,9 +146,9 @@ def _frobenius_weights(size: int, values: tuple) -> tuple:
     cleared = [v.numerator * (scale // v.denominator) for v in values]
     sums = [None] + [sum(c**r for c in cleared) for r in range(1, size + 1)]
     expansion = {}
-    for rho in partitions_of(size):
+    for rho, column in mn_columns(partitions_of(size)).items():
         weight = class_size(rho) * prod(sums[r] for r in rho)
-        for mask, value in mn_column(rho).items():
+        for mask, value in column.items():
             expansion[mask] = expansion.get(mask, 0) + value * weight
     return expansion, factorial(size) * scale**size
 

@@ -1,13 +1,14 @@
 """End-to-end harnesses: correspondence tables, sign censuses, theorem sweeps.
 
 These drive the other modules over whole families of partitions and classes.
-They read characters by columns (`characters.mn_column`,
-`hyperoctahedral.bn_column`): the involution consumers read the column at
-`w0_class(m)`, and the sweep builds its columns once per n and checks each pair
-by lookups.  The sweep can farm the values of n out to worker processes; it
-imports `multiprocessing` only when it starts more than one, so a run that
-starts no pool does not pay for loading it.  The records are `NamedTuple`s and
-one plain class, not dataclasses, for the same reason.
+They read characters by columns: the involution consumers read the column at
+`w0_class(m)`, and the sweep builds each class family's columns in one walk
+per n (`characters.mn_columns`, `hyperoctahedral.bn_columns`) and checks each
+pair by lookups, its basechange and shuffle sign read off bitmasks.  The sweep
+can farm the values of n out to worker processes; it imports `multiprocessing`
+only when it starts more than one, so a run that starts no pool does not pay
+for loading it.  The records are `NamedTuple`s and one plain class, not
+dataclasses, for the same reason.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .partitions import Partition, beta_mask, partition_counts, partitions_of, sign_shuffle
-from .characters import even_cycle_classes, mn_character, mn_column
+from .partitions import Partition, _from_mask, _padded_mask, _quotient_mask, _shuffle_sign, beta_mask
+from .partitions import partition_counts, partitions_of, sign_shuffle
+from .characters import even_cycle_classes, mn_character, mn_column, mn_columns
 from .hyperoctahedral import (
     bipartitions_of,
     basechange,
     bn_character_bruteforce,
-    bn_column,
+    bn_columns,
     bn_dimension,
     norm,
 )
@@ -140,13 +142,10 @@ class SweepReport:
         return not self.failures
 
 
-def _sweep_one_bipartition(report, pair, key, target, lam, columns, run_oracle):
-    """Check one pair (mask pair `key`, basechange `lam`) at every class by
-    lookups into `columns`, a list of (w, norm h, S_m column at w, B_n column
-    at h), into `report`; with `run_oracle`, the even target also runs the
-    group-sum oracle."""
-    mask = beta_mask(lam)
-    eps = sign_shuffle(lam)
+def _sweep_one_bipartition(report, pair, key, target, mask, eps, columns, run_oracle):
+    """Check one pair (mask pair `key`, basechange bitmask `mask`, shuffle sign
+    `eps`) at every (w, norm h, S_m column at w, B_n column at h) of `columns`
+    into `report`; with `run_oracle`, the even target also runs the oracle."""
     for w, h, s_column, b_column in columns:
         lhs = s_column.get(mask, 0)
         rhs_bn = b_column.get(key, 0)
@@ -163,28 +162,28 @@ def _sweep_one_bipartition(report, pair, key, target, lam, columns, run_oracle):
 
 
 def _sweep_n(n: int, oracle_max: int) -> SweepReport:
-    """The sweep at one n.  Each B_n column is built once per norm class and
-    shared by both targets, each S_m column once per (target, class), and each
-    pair's masks and basechange once."""
+    """The sweep at one n: the B_n columns in one walk for both targets, the
+    S_m columns in one per target, and each pair's basechange bitmask and sign
+    from its masks; a Partition is built only to name a failure."""
     report = SweepReport(n_max=n)
     pairs = [(pair, (beta_mask(pair.p0), beta_mask(pair.p1))) for pair in bipartitions_of(n)]
-    b_columns = {}
-    for target in ("even", "odd"):
-        columns = []
-        for w in even_cycle_classes(2 * n if target == "even" else 2 * n + 1):
-            h = norm(w, target)
-            if h not in b_columns:
-                b_columns[h] = bn_column(h)
-            columns.append((w, h, mn_column(w), b_columns[h]))
+    b_columns = bn_columns([norm(w, "even") for w in even_cycle_classes(2 * n)])
+    for target, core in (("even", ()), ("odd", (1,))):
+        m = 2 * n + len(core)
+        s_columns = mn_columns(even_cycle_classes(m))
+        columns = [(w, h, s_columns[w], b_columns[h]) for w in s_columns for h in [norm(w, target)]]
+        core_mask = _padded_mask(core, 2)
         seen = {}
         for pair, key in pairs:
-            lam = basechange(pair, target)
-            if lam in seen:
+            mask = _quotient_mask(core_mask, key)
+            if mask in seen:
                 report.failures.append(
-                    "basechange not injective: %s and %s both map to %s" % (seen[lam], pair, lam)
+                    "basechange not injective: %s and %s both map to %s (target=%s)"
+                    % (seen[mask], pair, _from_mask(mask), target)
                 )
-            seen[lam] = pair
-            _sweep_one_bipartition(report, pair, key, target, lam, columns, n <= oracle_max)
+            seen[mask] = pair
+            eps = _shuffle_sign(mask, m)
+            _sweep_one_bipartition(report, pair, key, target, mask, eps, columns, n <= oracle_max)
     return report
 
 

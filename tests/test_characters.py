@@ -1,11 +1,11 @@
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octachar.partitions import Partition, add_hooks, beta_mask, parse_partition, partitions_of, rim_hooks
+from octachar.partitions import Partition, beta_mask, hook_layer, parse_partition, partitions_of
+from octachar import characters
 from octachar.characters import (
-    _frontier,
     centralizer_order,
     character_table,
     class_size,
@@ -14,6 +14,7 @@ from octachar.characters import (
     even_cycle_classes,
     mn_character,
     mn_column,
+    mn_columns,
     product_character,
     sign_of_class,
 )
@@ -100,8 +101,8 @@ class TestMurnaghanNakayama:
             for j in range(len(rho) + 1):
                 k = sum(rho[j:])
                 for frontier in (
-                    _frontier({0: 1}, reversed(rho[j:]), add_hooks),
-                    _frontier(everything, rho[:j], rim_hooks),
+                    mn_column(rho[j:]),  # the walk's frontier after the shortest cycles
+                    reduce(hook_layer, rho[:j], everything),
                 ):
                     assert len(frontier) <= counts[k], (rho, j)
                     assert not any(mask & 1 for mask in frontier), (rho, j)
@@ -134,6 +135,37 @@ class TestMurnaghanNakayama:
             Partition([2, 1]): 0,
             Partition([3]): -1,
         }
+
+
+class TestFamilyWalk:
+    def test_layer_calls_are_distinct_shortest_first_prefixes(self, monkeypatch):
+        # a shared prefix of cycle lengths is expanded once, not once per class
+        calls = []
+
+        def counting(frontier, t, add=False):
+            calls.append(t)
+            return hook_layer(frontier, t, add)
+
+        monkeypatch.setattr(characters, "hook_layer", counting)
+        character_table(15)
+        classes = list(partitions_of(15))
+        prefixes = {tuple(reversed(rho))[:j] for rho in classes for j in range(1, len(rho) + 1)}
+        assert len(prefixes) == 351
+        assert sum(len(rho) for rho in classes) == 1068  # one column per class from the empty partition
+        assert len(calls) == len(prefixes)
+
+    def test_family_columns_equal_columns_of_one(self):
+        for m in range(13):
+            classes = list(partitions_of(m))
+            assert mn_columns(classes) == {rho: mn_column(rho) for rho in classes}, m
+        for m in range(2, 14):  # the sweep's families, [2rho, 1] at odd m
+            classes = list(even_cycle_classes(m))
+            assert mn_columns(classes) == {w: mn_column(w) for w in classes}, m
+
+    def test_family_takes_cycles_in_any_order(self):
+        columns = mn_columns([(1, 2, 1), (1, 3)])
+        assert columns == {P("[2,1^2]"): mn_column(P("[2,1^2]")), P("[3,1]"): mn_column(P("[3,1]"))}
+        assert mn_columns([]) == {}
 
 
 class TestOrthogonality:

@@ -1,13 +1,14 @@
 import pytest
 
 from collections import Counter
+from functools import reduce
 from fractions import Fraction
 from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
-from octachar.partitions import Partition, add_hooks, beta_mask, parse_partition, partitions_of, p_core, p_quotient, rim_hooks
-from octachar.characters import _frontier, _pair_moves, mn_character, product_character
+from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, p_core, p_quotient
+from octachar.characters import _pair_layer, _walk, even_cycle_classes, mn_character, product_character
 from octachar.hyperoctahedral import (
     BiPartition,
     basechange,
@@ -18,6 +19,7 @@ from octachar.hyperoctahedral import (
     bn_class,
     bn_class_of,
     bn_column,
+    bn_columns,
     bn_dimension,
     embed_class,
     format_bipartition,
@@ -310,9 +312,9 @@ class TestMurnaghanNakayamaB:
         for c in _bn_classes(n):
             cycles = _signed_cycles(c)
             for j in range(len(cycles) + 1):
-                bottom_up = _frontier({(0, 0): 1}, reversed(cycles[j:]), _pair_moves(add_hooks))
+                bottom_up = _walk({(0, 0): 1}, {c: tuple(reversed(cycles[j:]))}, _pair_layer)[c]
                 everything = {(beta_mask(p0), beta_mask(p1)): 1 for p0, p1 in bipartitions_of(n)}
-                top_down = _frontier(everything, cycles[:j], _pair_moves(rim_hooks))
+                top_down = reduce(_pair_layer, cycles[:j], everything)
                 k = sum(abs(t) for t in cycles[j:])
                 for frontier in (bottom_up, top_down):
                     assert len(frontier) <= counts[k], (c, j)
@@ -327,6 +329,13 @@ class TestMurnaghanNakayamaB:
                     value = bn_character_bruteforce(pair, c)
                     assert column.get((beta_mask(pair.p0), beta_mask(pair.p1)), 0) == value, (pair, c)
                 assert 0 not in column.values()
+
+    def test_family_columns_equal_columns_of_one(self):
+        for n in range(8):
+            classes = _bn_classes(n)
+            assert bn_columns(classes) == {c: bn_column(c) for c in classes}, n
+            norms = [norm(w) for w in even_cycle_classes(2 * n)]  # the sweep's family (rho|)
+            assert bn_columns(norms) == {h: bn_column(h) for h in norms}, n
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(

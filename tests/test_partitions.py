@@ -5,11 +5,11 @@ from octachar.partitions import (
     MAX_LITERAL_PARTS,
     Partition,
     PartitionParseError,
-    add_hooks,
     beta_mask,
     beta_set,
     format_partition,
     from_core_and_quotient,
+    hook_layer,
     hook_lengths,
     is_p_core,
     p_core,
@@ -18,7 +18,6 @@ from octachar.partitions import (
     partition_counts,
     partition_from_beta,
     partitions_of,
-    rim_hooks,
     sign_odd_parts,
     sign_shuffle,
     _from_mask,
@@ -129,6 +128,11 @@ class TestHooks:
                     assert hooks[i][j] == arm + leg + 1
 
 
+def rim_hooks(mask, t):
+    """(removed, sign) for every rim hook of length t removed from one mask."""
+    return hook_layer({mask: 1}, t).items()
+
+
 class TestRimHooks:
     def test_beta_mask(self):
         assert beta_mask(Partition()) == 0
@@ -179,6 +183,34 @@ class TestRimHooks:
             rows = sum(1 for i, v in enumerate(lam) if (mu[i] if i < len(mu) else 0) < v)
             cells.add((mu, -1 if rows % 2 == 0 else 1))
         assert got == cells
+
+
+class TestHookLayer:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.dictionaries(st.sampled_from(list(partitions_of(k))), st.integers(-3, 3)),
+        st.integers(1, 6))))
+    def test_agrees_with_tuple_route_both_ways(self, case):
+        # a whole frontier moves at once: results merge, and cancelled ones drop
+        k, frontier, t = case
+        masks = {beta_mask(lam): value for lam, value in frontier.items()}
+        removed, added = {}, {}
+        for lam, value in frontier.items():
+            for mu, sign in rim_hooks_on_tuples(beta_set(lam, len(lam)), t):
+                key = beta_mask(partition_from_beta(mu))
+                removed[key] = removed.get(key, 0) + sign * value
+        for nu in partitions_of(k + t):
+            for mu, sign in rim_hooks_on_tuples(beta_set(nu, len(nu)), t):
+                value = frontier.get(partition_from_beta(mu), 0)
+                added[beta_mask(nu)] = added.get(beta_mask(nu), 0) + sign * value
+        assert hook_layer(masks, t) == {key: value for key, value in removed.items() if value}
+        assert hook_layer(masks, t, add=True) == {key: value for key, value in added.items() if value}
+
+
+def add_hooks(mask, t):
+    """(added, sign) for every rim hook of length t added to one mask."""
+    return hook_layer({mask: 1}, t, add=True).items()
 
 
 class TestAddHooks:

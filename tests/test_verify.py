@@ -1,8 +1,10 @@
 import pytest
 
-from octachar.partitions import Partition, parse_partition, partitions_of
-from octachar.characters import mn_character
-from octachar.hyperoctahedral import bipartitions_of
+from octachar import verify
+from octachar.cli import main
+from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, sign_shuffle
+from octachar.characters import even_cycle_classes, mn_character
+from octachar.hyperoctahedral import basechange, bipartition, bipartitions_of, bn_character, norm
 from octachar.verify import (
     basechange_image_matches_support,
     build_table,
@@ -129,3 +131,66 @@ class TestImageCharacterization:
         for n in range(1, 7):
             assert basechange_image_matches_support(n, "even")
             assert basechange_image_matches_support(n, "odd")
+
+
+class TestSweepFailures:
+    """A wrong sign, a wrong column value and a colliding basechange each show up
+    as failure records that name the pair and the class (or the partition two
+    pairs share), and make `octachar sweep` exit 1 with FAIL lines and no PASS."""
+
+    PAIR = bipartition([], [1, 1, 1, 1])  # basechange [2,1^6]; chi_[1^4] vanishes nowhere
+
+    def wrong_sign(self, monkeypatch):
+        real, mask = verify._shuffle_sign, beta_mask(P("[2,1^6]"))
+        monkeypatch.setattr(verify, "_shuffle_sign", lambda m, size: -real(m, size) if m == mask else real(m, size))
+
+    def wrong_column_value(self, monkeypatch):
+        real, w, mask = verify.mn_columns, P("[4,2,2]"), beta_mask(P("[2,1^6]"))
+
+        def corrupted(classes):
+            columns = real(classes)
+            if w in columns:
+                columns[w] = {**columns[w], mask: columns[w][mask] + 1}
+            return columns
+
+        monkeypatch.setattr(verify, "mn_columns", corrupted)
+
+    def colliding_basechange(self, monkeypatch):
+        # ([]|[1]) is sent to the basechange of ([1]|[]) at both targets
+        real, mine, other = verify._quotient_mask, (0, beta_mask(P("[1]"))), (beta_mask(P("[1]")), 0)
+        monkeypatch.setattr(verify, "_quotient_mask", lambda core, masks: real(core, other if masks == mine else masks))
+
+    def test_wrong_sign_names_pair_and_every_class(self, monkeypatch):
+        self.wrong_sign(monkeypatch)
+        report = main_theorem_sweep(4, oracle_max=0)
+        assert not report.ok
+        lam = P("[2,1^6]")
+        assert report.failures == [
+            "identity fails: pair=%s target=even w=%s: %d != %d * %d"
+            % (self.PAIR, w, mn_character(lam, w), -sign_shuffle(lam), bn_character(self.PAIR, norm(w)))
+            for w in even_cycle_classes(8)
+        ]
+
+    def test_wrong_column_value_names_pair_and_class(self, monkeypatch):
+        self.wrong_column_value(monkeypatch)
+        report = main_theorem_sweep(4, oracle_max=0)
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("identity fails: pair=%s target=even w=[4,2^2]: " % (self.PAIR,))
+
+    def test_colliding_basechange_names_both_pairs(self, monkeypatch):
+        self.colliding_basechange(monkeypatch)
+        report = main_theorem_sweep(1, oracle_max=0)
+        collisions = [f for f in report.failures if f.startswith("basechange not injective")]
+        assert collisions == [
+            "basechange not injective: ([]|[1]) and ([1]|[]) both map to %s (target=%s)"
+            % (basechange(bipartition([1], []), target), target)
+            for target in ("even", "odd")
+        ]
+
+    @pytest.mark.parametrize("fault", ["wrong_sign", "wrong_column_value", "colliding_basechange"])
+    def test_cli_exits_1_with_fail_lines(self, fault, monkeypatch, capsys):
+        getattr(self, fault)(monkeypatch)
+        assert main(["sweep", "--max", "4"]) == 1
+        out = capsys.readouterr().out
+        assert any(line.startswith("FAIL: ") for line in out.splitlines())
+        assert "PASS" not in out
