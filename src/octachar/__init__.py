@@ -83,7 +83,10 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every cache: the oracle's per-n class sizes and the Frobenius
-    expansions kept per point.  Characters keep no memo."""
+    """Empty every cache: the oracle's per-n class sizes, the Schur kernel's
+    h/e sequences kept per point, the class columns kept per size, and the
+    Frobenius expansions kept per point.  Characters keep no memo."""
     hyperoctahedral._class_sizes.cache_clear()
+    symfunc._point.cache_clear()
+    symfunc._class_columns.cache_clear()
     symfunc._frobenius_weights.cache_clear()

@@ -6,11 +6,12 @@ beta-set {lam_i + r - i : i = 1..r}; removing a rim hook of length t is the
 bead move b -> b - t.  The library holds a beta-set as an int bitmask
 (`beta_mask`, bit b set when b is a bead).  The one copy of the bead-move
 arithmetic, `hook_layer`, moves a whole frontier {mask: value} by one hook
-length.  The p-core is what removing p-hooks one at a time leaves; quotients
-and the shuffle sign are read off the p abacus runners of the mask (runner i
-holds the beads congruent to i mod p), and `_interleave` puts runners back
-together.  Padding length matters for the p-quotient and for the shuffle sign,
-so the convention is fixed once here (`_padded_mask`):
+length.  Quotients, the p-core (every runner flushed, which is what removing
+p-hooks one at a time leaves) and the shuffle sign are read off the p abacus
+runners of the mask (runner i holds the beads congruent to i mod p), and
+`_interleave` puts runners back together.  Padding length matters for the
+p-quotient and for the shuffle sign, so the convention is fixed once here
+(`_padded_mask`):
 
   * p = 2: pad to the smallest length with the parity of |lam|.  This makes
     the 2-quotient of a partition of 2n and of its partner of 2n+1 (same
@@ -193,7 +194,9 @@ def _interleave(runners) -> int:
 
 def _quotient_mask(core: int, masks) -> int:
     """Canonical bitmask of the partition with p-quotient bitmasks `masks` and the
-    p-core of padded bitmask `core`: its flush runners go under the masks."""
+    p-core of padded bitmask `core`: its flush runners go under the masks.  Only
+    the bead count on each runner of `core` is read, so any mask with the
+    core's counts will do (the masks [0] * p give the core itself)."""
     beads_on = [runner.bit_count() for runner in _runners(core, len(masks))]
     extra = max(0, *(mask.bit_count() - k for k, mask in zip(beads_on, masks)))
     # ((mask + 1) << pad) - 1 is mask shifted up over pad beads at its foot
@@ -210,15 +213,12 @@ def _padded_mask(lam, p: int) -> int:
 def p_core(lam, p: int) -> Partition:
     """The partition left after removing rim hooks of length p, one at a time,
     until none is left (the result does not depend on the order, a classical
-    fact the tests check)."""
+    fact the tests check).  Each removal slides a bead one step down its
+    runner, so the core has every runner's beads flushed to its foot."""
     lam = Partition(lam)
     if p < 2:
         raise ValueError("p must be at least 2")
-    layer = {beta_mask(lam): 1}
-    while layer:
-        mask = next(iter(layer))
-        layer = hook_layer({mask: 1}, p)
-    return _from_mask(mask)
+    return _from_mask(_quotient_mask(beta_mask(lam), [0] * p))
 
 
 def is_p_core(lam, p: int) -> bool:

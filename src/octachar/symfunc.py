@@ -1,14 +1,21 @@
 """Exact rational evaluation of Schur polynomials.
 
-Schur values come from the bialternant det(x_i^(lam_j + d - j)) / det(x_i^(d-j))
-on an integer kernel.  Writing each coordinate as x_i = a_i/b_i, the point's
-denominators are cleared once: the numerator rows are the integers
-a_i^e * b_i^(top-e), whose determinant is taken by fraction-free (Bareiss)
-elimination, and the Weyl denominator is the closed-form Vandermonde
-prod_{i<j} (a_i b_j - a_j b_i).  One Fraction is built per value.  The
-power-sum expansions of all Schur functions of one size are cached per point,
-over one denominator, from the character columns of all classes of that size,
-built in one walk (`characters.mn_columns`).
+Schur values come from the Jacobi-Trudi determinants (Macdonald I (3.4),
+(3.5)) on an integer kernel.  Writing each coordinate as x_i = a_i/b_i, the
+point's denominators are cleared once: L = lcm(b_i) and c_i = a_i L / b_i, so
+s_lam(x) = s_lam(c) / L^|lam|.  Per point, and kept in a cache keyed by the
+integer numerators and denominators, are e_0(c)..e_d(c) (one pass over the
+coordinates) and h_0(c), h_1(c), ... up to the largest index a call has
+needed (h_k = sum_i (-1)^(i-1) e_i h_(k-i)).  A value is then
+det[h_(lam_i - i + j)] of order l(lam), or det[e_(lam'_i - i + j)] of order
+lam_1, whichever is smaller, by fraction-free (Bareiss) elimination, and one
+Fraction.  Cost model: O(d (lam_1 + l)) big-int steps per point for h, then
+one determinant of order min(l, lam_1) per value; a long row in few
+variables pays for every h_k below its length (h is kept up to `_H_KEPT`
+entries per point, and past that only the last d values are held).
+The power-sum expansions of all Schur functions of one size are cached per
+point, over one denominator, from the character columns of all classes of
+that size, built in one walk (`characters.mn_columns`) once per size.
 No symbolic polynomial ring is involved: the factorization identities are
 checked by evaluating both sides at rational points, which decides polynomial
 identities exactly when swept over seeded random points.  Both Littlewood
@@ -16,9 +23,11 @@ factorizations take the 2-core, the 2-quotient and the shuffle sign from
 `partitions`, at its padding convention.  `det` stays as the independent
 rational route that the tests compare the kernel against.
 
-Point constraints: the bialternant needs pairwise distinct coordinates, so the
-mirrored point (X, -X) needs the |x_i| distinct and nonzero, and (X, -X, x)
-additionally needs |x| distinct from every |x_i|.
+Point constraints: the kernel keeps the contract of the bialternant
+det(x_i^(lam_j + d - j)) / det(x_i^(d-j)), whose Weyl denominator vanishes
+unless the coordinates are pairwise distinct, so a repeated coordinate is an
+error.  The mirrored point (X, -X) needs the |x_i| distinct and nonzero, and
+(X, -X, x) additionally needs |x| distinct from every |x_i|.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
-from .partitions import Partition, beta_mask, beta_set, p_core, p_quotient, partitions_of, sign_shuffle
+from .partitions import Partition, beta_mask, p_core, p_quotient, partitions_of, sign_shuffle
 from .characters import class_size, mn_columns
 
 
@@ -82,35 +91,67 @@ def schur_eval(lam, values) -> Fraction:
     """Schur polynomial s_lam at the given point, as an exact rational."""
     lam = Partition(lam)
     vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-    d = len(vals)
-    if len(lam) > d:
+    if len(lam) > len(vals):
         raise ValueError(
-            "too many parts: %d parts in %d variables" % (len(lam), d)
+            "too many parts: %d parts in %d variables" % (len(lam), len(vals))
         )
-    nums = [v.numerator for v in vals]
-    dens = [v.denominator for v in vals]
-    # Fractions are normalized, so equal values have equal (numerator, denominator).
-    if len(set(zip(nums, dens))) != d:
-        raise ValueError("Weyl denominator vanishes: point values must be distinct")
-    if d == 0:
+    scale, e, h = _point(tuple(v.numerator for v in vals), tuple(v.denominator for v in vals))
+    if not lam:
         return Fraction(1)
-    exponents = beta_set(lam, d)
-    top = exponents[0]
-    numerator = _det_int_bareiss(
-        [[a**e * b ** (top - e) for e in exponents] for a, b in zip(nums, dens)]
-    )
-    # det(x_i^e) = numerator / prod(b)^top and the Weyl denominator is
-    # vandermonde / prod(b)^(d-1), so prod(b) is left to the power lam_1.
-    return Fraction(numerator, _vandermonde(nums, dens) * prod(dens) ** (top + 1 - d))
+    if len(lam) <= lam[0]:  # det[h_(lam_i - i + j)], of order l(lam)
+        parts = lam
+        entries = _complete(e, h, {k for r, v in enumerate(lam) for k in range(max(0, v - r), v - r + len(lam))})
+    else:  # det[e_(lam'_i - i + j)], of order lam_1
+        parts = lam.conjugate()
+        entries = dict(enumerate(e))
+    order = range(len(parts))
+    minor = [[entries.get(part - r + c, 0) for c in order] for r, part in enumerate(parts)]
+    return Fraction(_det_int_bareiss(minor), scale**lam.size)
 
 
-def _vandermonde(nums, dens) -> int:
-    """prod_{i<j} (a_i b_j - a_j b_i): det(x_i^(d-j)) at x_i = a_i/b_i, times prod(b)^(d-1)."""
-    out = 1
-    for i, (a, b) in enumerate(zip(nums, dens)):
-        for c, e in zip(nums[i + 1 :], dens[i + 1 :]):
-            out *= a * e - c * b
-    return out
+@lru_cache(maxsize=64)
+def _point(nums: tuple, dens: tuple) -> tuple:
+    """(L, e, h) at the point x_i = nums[i]/dens[i] with its denominators
+    cleared, c_i = x_i L for L = lcm(dens): e = [e_0(c), ..., e_d(c)] by one
+    pass over the coordinates, and h = [h_0(c)], which `_complete` extends."""
+    # Fractions are normalized, so equal values have equal (numerator, denominator).
+    if len(set(zip(nums, dens))) != len(nums):
+        raise ValueError("Weyl denominator vanishes: point values must be distinct")
+    scale = lcm(*dens)
+    e = [1] + [0] * len(nums)
+    for j, (a, b) in enumerate(zip(nums, dens), 1):
+        c = a * (scale // b)
+        for k in range(j, 0, -1):
+            e[k] += c * e[k - 1]
+    return scale, e, [1]
+
+
+_H_KEPT = 256  # h_k values a point keeps; a longer row streams past them
+
+
+def _complete(e: list, h: list, wanted: set) -> dict:
+    """{k: h_k} for the indices in `wanted`, by h_k = sum_(i=1..d) (-1)^(i-1) e_i h_(k-i).
+
+    `h` is the point's list h_0, h_1, ...; it is extended in place up to
+    `_H_KEPT` entries.  Past that only the last d values are held, so a long
+    row keeps the entries its determinant reads, not every h_k below it.
+    """
+    top = max(wanted)
+    far = {}
+    if top >= len(h):
+        d = len(e) - 1
+        terms = [(i, v if i % 2 else -v) for i, v in enumerate(e) if i and v]
+        recent = h[max(0, len(h) - d) :]  # h_(k-d)..h_(k-1), fewer while k < d
+        for k in range(len(h), top + 1):
+            value = sum(v * recent[-i] for i, v in terms if i <= k)
+            recent.append(value)
+            if len(recent) > d:
+                del recent[0]
+            if k < _H_KEPT:
+                h.append(value)
+            elif k in wanted:
+                far[k] = value
+    return {k: h[k] if k < len(h) else far[k] for k in wanted}
 
 
 def mirrored_point(xs) -> tuple:
@@ -132,6 +173,13 @@ def mirrored_point_plus(xs, x) -> tuple:
     return base + (x,)
 
 
+@lru_cache(maxsize=16)
+def _class_columns(size: int) -> tuple:
+    """((rho, class_size(rho), column of rho), ...) over the classes of S_size,
+    from one `mn_columns` walk."""
+    return tuple((rho, class_size(rho), column) for rho, column in mn_columns(partitions_of(size)).items())
+
+
 @lru_cache(maxsize=64)
 def _frobenius_weights(size: int, values: tuple) -> tuple:
     """Power-sum expansions of the Schur functions of `size` at the point, as
@@ -146,8 +194,8 @@ def _frobenius_weights(size: int, values: tuple) -> tuple:
     cleared = [v.numerator * (scale // v.denominator) for v in values]
     sums = [None] + [sum(c**r for c in cleared) for r in range(1, size + 1)]
     expansion = {}
-    for rho, column in mn_columns(partitions_of(size)).items():
-        weight = class_size(rho) * prod(sums[r] for r in rho)
+    for rho, count, column in _class_columns(size):
+        weight = count * prod(sums[r] for r in rho)
         for mask, value in column.items():
             expansion[mask] = expansion.get(mask, 0) + value * weight
     return expansion, factorial(size) * scale**size
@@ -163,37 +211,44 @@ def verify_frobenius(lam, values) -> bool:
     return lhs == Fraction(expansion.get(beta_mask(lam), 0), denominator)
 
 
-def verify_factorization_even(lam, xs) -> bool:
+def verify_factorization_even(lam, xs, *, point=None, squares=None) -> bool:
     """Littlewood factorization at a mirrored point (X, -X) in 2m variables.
 
     Nonempty 2-core: the Schur value must vanish.  Empty 2-core: the value must
     equal the shuffle sign times s_{q0}(X^2) s_{q1}(X^2) over the 2-quotient.
+    A sweep over many lam at one X passes `point` = mirrored_point(xs) and
+    `squares` = [x_i^2], built once.
     """
     lam = Partition(lam)
-    point = mirrored_point(xs)
-    value = schur_eval(lam, point)
+    value = schur_eval(lam, mirrored_point(xs) if point is None else point)
     if p_core(lam, 2):
         return value == 0
     q0, q1 = p_quotient(lam, 2)
-    squares = [Fraction(v) ** 2 for v in xs]
+    if squares is None:
+        squares = [Fraction(v) ** 2 for v in xs]
     return value == sign_shuffle(lam) * schur_eval(q0, squares) * schur_eval(q1, squares)
 
 
-def verify_factorization_odd(lam, xs, x) -> bool:
+def verify_factorization_odd(lam, xs, x, *, point=None, squares=None, core=None) -> bool:
     """Factorization at a mirrored-plus-one point (X, -X, x) in 2m+1 variables.
 
     Read off the 2-core and the 2-quotient (q0, q1) of lam.  If the 2-core is
     neither () nor (1) the Schur value must vanish.  Otherwise it is
     eps * s_{q0}(X^2) s_{q1}(X^2, x^2), times x when the 2-core is (1).
+    A sweep over many lam at one (X, x) passes `point` =
+    mirrored_point_plus(xs, x), `squares` = [x_1^2, ..., x_m^2, x^2], built
+    once, and the 2-core `core` of lam that it also counts.
     """
     lam = Partition(lam)
-    value = schur_eval(lam, mirrored_point_plus(xs, x))
-    core = p_core(lam, 2)
+    value = schur_eval(lam, mirrored_point_plus(xs, x) if point is None else point)
+    if core is None:
+        core = p_core(lam, 2)
     if core not in ((), (1,)):
         return value == 0
     q0, q1 = p_quotient(lam, 2)
-    squares = [Fraction(v) ** 2 for v in xs]
-    rhs = sign_shuffle(lam) * schur_eval(q0, squares) * schur_eval(q1, squares + [Fraction(x) ** 2])
+    if squares is None:
+        squares = [Fraction(v) ** 2 for v in (*xs, x)]
+    rhs = sign_shuffle(lam) * schur_eval(q0, squares[:-1]) * schur_eval(q1, squares)
     return value == (rhs * Fraction(x) if core else rhs)
 
 
@@ -257,8 +312,9 @@ def factorization_even_sweep(max_n: int, seed: int) -> int:
     checked = 0
     for n in range(1, max_n + 1):
         xs = random_rationals(n, rng)
+        point, squares = mirrored_point(xs), [v * v for v in xs]
         for lam in partitions_of(2 * n):
-            if not verify_factorization_even(lam, xs):
+            if not verify_factorization_even(lam, xs, point=point, squares=squares):
                 raise SweepFailure(
                     "even factorization failed at lam=%s X=%s" % (lam, xs)
                 )
@@ -280,15 +336,16 @@ def factorization_odd_sweep(max_n: int, seed: int) -> tuple:
     for n in range(1, max_n + 1):
         values = random_rationals(n + 1, rng)
         xs, x = values[:n], values[n]
+        point, squares = mirrored_point_plus(xs, x), [v * v for v in values]
         for size in (2 * n + 1, 2 * n):
             for lam in partitions_of(size):
-                if not verify_factorization_odd(lam, xs, x):
+                core = p_core(lam, 2)
+                if not verify_factorization_odd(lam, xs, x, point=point, squares=squares, core=core):
                     raise SweepFailure(
                         "odd factorization failed at lam=%s X=%s x=%s" % (lam, xs, x)
                     )
                 checked += 1
-                core = p_core(lam, 2)
-                if core == Partition((1,)):
+                if core == (1,):
                     branch_a += 1
                 elif not core:
                     branch_b += 1

@@ -4,10 +4,10 @@ Nothing here shares algorithms with the library paths it checks: cores are
 recomputed by literal diagram surgery, Schur values by semistandard-tableau
 enumeration, symmetric-group characters by Young symmetrizer left ideals,
 determinants by cofactor expansion, and induced characters by summation over
-the full group.  Power sums, which no library route needs, are summed
-directly.  Rim hooks have two reference routes: cell-by-cell diagram
-surgery, and bead moves on tuple beta-sets (the library moves beads on int
-bitmasks).  Characters of S_m and B_n have a reference route in the
+the full group.  Power sums and the closed-form Vandermonde, which no library
+route needs, are computed directly.  Rim hooks have two reference routes:
+cell-by-cell diagram surgery, and bead moves on tuple beta-sets (the library
+moves beads on int bitmasks).  Characters of S_m and B_n have a reference route in the
 remove-hooks recursion on tuple beta-sets (the library goes by layers of
 bitmasks, and adds hooks for whole columns).
 """
@@ -281,6 +281,15 @@ def power_sum(r, values):
 
 
 # -- determinants by cofactor expansion --------------------------------------
+
+
+def vandermonde(nums, dens):
+    """prod_{i<j} (a_i b_j - a_j b_i): det(x_i^(d-j)) at x_i = a_i/b_i, times prod(b)^(d-1)."""
+    out = 1
+    for i, (a, b) in enumerate(zip(nums, dens)):
+        for c, e in zip(nums[i + 1 :], dens[i + 1 :]):
+            out *= a * e - c * b
+    return out
 
 
 def det_cofactor(rows):

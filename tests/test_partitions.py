@@ -259,7 +259,7 @@ class TestCores:
                     assert all(h % p for row in hook_lengths(core) for h in row)
 
     def test_matches_rim_hook_surgery_all_orders(self):
-        for p in (2, 3):
+        for p in (2, 3, 5):
             for n in range(11):
                 for lam in partitions_of(n):
                     outcomes = rim_hook_cores(lam, p)

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from fractions import Fraction
 
 import octachar
+from octachar import symfunc
 from octachar.characters import centralizer_order
 from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, p_core
 from octachar.symfunc import (
     SweepFailure,
     _frobenius_weights,
-    _vandermonde,
+    _point,
     det,
     factorization_even_sweep,
     factorization_odd_sweep,
@@ -26,7 +27,14 @@ from octachar.symfunc import (
     verify_frobenius,
 )
 
-from oracles import det_cofactor, interpolate_coefficients, mn_by_recursion, power_sum, schur_by_tableaux
+from oracles import (
+    det_cofactor,
+    interpolate_coefficients,
+    mn_by_recursion,
+    power_sum,
+    schur_by_tableaux,
+    vandermonde,
+)
 
 
 F = Fraction
@@ -128,6 +136,47 @@ class TestSchurEval:
                         if len(lam) <= d:
                             assert schur_eval(lam, values) == bialternant(lam, values), (lam, values)
 
+    def test_against_rational_bialternant_at_mirrored_points(self):
+        # the sweeps' regime: (X, -X) in 10 and 12 variables, every lam up to 12 boxes
+        rng = random.Random(43)
+        for d in (10, 12):
+            values = mirrored_point(random_rationals(d // 2, rng))
+            for n in range(0, 13):
+                for lam in partitions_of(n):
+                    if len(lam) <= d:
+                        assert schur_eval(lam, values) == bialternant(lam, values), (lam, values)
+
+    def test_tall_columns_are_elementary(self):
+        # [1^k] in k variables has one tableau, the product of the coordinates
+        rng = random.Random(47)
+        for k in range(1, 9):
+            values = kernel_point(k, rng)[::-1]
+            lam = Partition([1] * k)
+            assert schur_eval(lam, values) == schur_by_tableaux(lam, values) == prod(values)
+        for k in (20, 40):
+            values = random_rationals(k, rng, max_height=50)
+            assert schur_eval(Partition([1] * k), values) == prod(values)
+            assert schur_eval(Partition([1] * (k - 1)), values) == prod(values) * sum(1 / v for v in values)
+
+    def test_long_rows_past_the_kept_sequence(self):
+        # s_(a,b)(x, y) = (xy)^b (x^(a-b+1) - y^(a-b+1)) / (x - y), with a beyond
+        # the h_k a point keeps
+        x, y = F(-2, 3), F(5, 7)
+        for a, b in ((symfunc._H_KEPT + 40, 0), (300, 299), (300, 3), (3 * symfunc._H_KEPT, 1)):
+            expected = (x * y) ** b * (x ** (a - b + 1) - y ** (a - b + 1)) / (x - y)
+            assert schur_eval(Partition([a, b] if b else [a]), [x, y]) == expected, (a, b)
+
+    def test_streamed_and_kept_sequences_agree(self, monkeypatch):
+        point = kernel_point(5, random.Random(53))
+        lams = [lam for n in range(0, 11) for lam in partitions_of(n) if len(lam) <= 5]
+        octachar.clear_caches()
+        kept = [schur_eval(lam, point) for lam in lams]
+        monkeypatch.setattr(symfunc, "_H_KEPT", 2)
+        octachar.clear_caches()
+        assert [schur_eval(lam, point) for lam in lams] == kept
+        _, _, h = _point(tuple(v.numerator for v in point), tuple(v.denominator for v in point))
+        assert len(h) == 2  # every later h_k was streamed
+
     def test_against_tableau_expansion(self):
         rng = random.Random(11)
         for d in (2, 3, 4):
@@ -162,7 +211,7 @@ class TestIntegerKernel:
         assert schur_eval(lam, values) == schur_eval(lam, permuted)
         nums = [v.numerator for v in values]
         dens = [v.denominator for v in values]
-        closed = F(_vandermonde(nums, dens), prod(dens) ** (d - 1))
+        closed = F(vandermonde(nums, dens), prod(dens) ** (d - 1))
         assert closed == det([[v ** (d - 1 - j) for j in range(d)] for v in values])
 
 
@@ -243,6 +292,89 @@ class TestFrobenius:
         assert _frobenius_weights.cache_info().currsize > 0
         octachar.clear_caches()
         assert _frobenius_weights.cache_info().currsize == 0
+
+
+class TestSchurCaches:
+    def test_cold_and_warm_point_sequences_agree(self):
+        # the warm run extends one point's h sequence by short and long rows in turn
+        point = kernel_point(6, random.Random(29))
+        lams = [lam for n in range(0, 10) for lam in partitions_of(n) if len(lam) <= 6]
+        lams = lams[::2] + lams[1::2][::-1]
+        cold = []
+        for lam in lams:
+            octachar.clear_caches()
+            cold.append(schur_eval(lam, point))
+        octachar.clear_caches()
+        warm = [schur_eval(lam, point) for lam in lams]
+        info = _point.cache_info()
+        assert (info.misses, info.hits) == (1, len(lams) - 1)  # one miss per point
+        assert cold == warm
+        assert warm == [bialternant(lam, point) for lam in lams]
+
+    def test_repeated_coordinates_are_never_cached(self):
+        octachar.clear_caches()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Weyl denominator"):
+                schur_eval(Partition([1]), [F(2), F(1, 3), F(2)])
+        assert _point.cache_info().currsize == 0
+
+
+class TestOperationCounts:
+    """Work the sweeps do, counted by call, so the guards hold on any machine."""
+
+    def test_determinant_order_is_the_shorter_side(self, monkeypatch):
+        shapes, orders = [], []
+        evaluate = symfunc.schur_eval
+        bareiss = symfunc._det_int_bareiss
+
+        def tracing(lam, values):
+            shapes.append(Partition(lam))
+            return evaluate(lam, values)
+
+        def counting(m):
+            orders.append((len(m), shapes[-1]))
+            return bareiss(m)
+
+        monkeypatch.setattr(symfunc, "schur_eval", tracing)
+        monkeypatch.setattr(symfunc, "_det_int_bareiss", counting)
+        octachar.clear_caches()
+        assert factorization_even_sweep(5, 0) == 82
+        assert len(orders) == len([lam for lam in shapes if lam]) > 82
+        assert all(order <= min(len(lam), lam[0]) for order, lam in orders)
+        assert max(order for order, _ in orders) == 5  # [5,1^5]; the bialternant took order 10 at 10 boxes
+
+    def test_columns_are_walked_once_per_size(self, monkeypatch):
+        calls = []
+        walk = symfunc.mn_columns
+
+        def counting(classes):
+            calls.append(1)
+            return walk(classes)
+
+        monkeypatch.setattr(symfunc, "mn_columns", counting)
+        octachar.clear_caches()
+        assert frobenius_sweep(6, 0) == 145
+        assert len(calls) == 6  # not once per size and point (30)
+
+    @pytest.mark.parametrize(
+        "name, sweep, items",
+        [
+            ("verify_frobenius", lambda: frobenius_sweep(6, 0), 145),
+            ("verify_factorization_even", lambda: factorization_even_sweep(5, 0), 82),
+            ("verify_factorization_odd", lambda: factorization_odd_sweep(4, 0)[0], 95),
+        ],
+    )
+    def test_sweeps_check_each_lam_by_its_public_function(self, monkeypatch, name, sweep, items):
+        calls = []
+        check = getattr(symfunc, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(symfunc, name, counting)
+        assert sweep() == items
+        assert len(calls) == items
 
 
 class TestFactorizationEven:
