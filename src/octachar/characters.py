@@ -32,17 +32,6 @@ def class_size(rho) -> int:
     return factorial(rho.size) // centralizer_order(rho)
 
 
-def double_class(rho) -> Partition:
-    """Cycle type with every part doubled (a class of S_{2m})."""
-    return Partition(2 * v for v in rho)
-
-
-def sign_of_class(rho) -> int:
-    """Sign character of S_m at cycle type rho."""
-    rho = Partition(rho)
-    return -1 if (rho.size - len(rho)) % 2 else 1
-
-
 def dimension(lam) -> int:
     """Dimension of the irreducible indexed by lam, by the hook length formula."""
     lam = Partition(lam)

@@ -11,36 +11,18 @@ before it is built, or a `schur` result with more than 100,000 digits
 Randomized verification commands print their seed in the report header.
 `sweep --jobs` (default 1) caps the worker processes, one value of n each, so
 at most min(jobs, max) start; `census` accepts `--jobs` and runs in one process.
-A command imports only what it runs: `multiprocessing` loads only when `sweep`
-starts more than one worker, and `json` only for `table --json`.
+A command imports only the layers it runs: this module loads partitions and
+characters, which every layer imports, and each handler imports the rest
+itself; tests/test_startup.py pins which.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .partitions import (
-    PartitionParseError,
-    format_partition,
-    parse_partition,
-    partition_counts,
-)
+from .partitions import PartitionParseError, format_partition, parse_partition, partition_counts
 from .characters import mn_character, character_table
-from .hyperoctahedral import (
-    basechange,
-    norm,
-    parse_bipartition,
-)
-from .symfunc import (
-    SweepFailure,
-    factorization_even_sweep,
-    factorization_odd_sweep,
-    frobenius_sweep,
-    schur_eval,
-)
-from .verify import build_table, dimension_match, main_theorem_sweep, sign_census
 
 
 def _jobs_value(value) -> int:
@@ -118,12 +100,16 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_basechange(args) -> int:
+    from .hyperoctahedral import basechange, parse_bipartition
+
     pair = parse_bipartition(args.pair)
     print(format_partition(basechange(pair, args.target)))
     return 0
 
 
 def _cmd_norm(args) -> int:
+    from .hyperoctahedral import norm
+
     print(norm(parse_partition(args.w), args.target))
     return 0
 
@@ -139,6 +125,8 @@ def _point_value(tok: str) -> Fraction:
     """One --at coordinate.  A value with more digits, or a larger exponent,
     than the interpreter's int/str digit limit is refused before it is built:
     its result could not be printed, and 1e200000000 would take minutes."""
+    from fractions import Fraction
+
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     mantissa, _, exponent = tok.lower().partition("e")
     exponent = "".join(c for c in exponent if c.isdigit()).lstrip("0")
@@ -155,6 +143,8 @@ def _point_value(tok: str) -> Fraction:
 
 
 def _cmd_schur(args) -> int:
+    from .symfunc import schur_eval
+
     lam = parse_partition(args.lam)
     values = [_point_value(tok.strip()) for tok in args.at.split(",") if tok.strip()]
     value = schur_eval(lam, values)
@@ -171,6 +161,8 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .symfunc import SweepFailure, factorization_even_sweep, factorization_odd_sweep, frobenius_sweep
+
     defaults = {"frobenius": 6, "even-fact": 5, "odd-fact": 4}
     bound = args.max_size if args.max_size is not None else defaults[args.what]
     lines = ["verify %s: max-size=%d seed=%d" % (args.what, bound, args.seed)]
@@ -203,6 +195,8 @@ def _table_row_object(row) -> dict:
 
 
 def _cmd_table(args) -> int:
+    from .verify import build_table
+
     result = build_table(args.n)
     if args.json:
         import json
@@ -238,6 +232,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .verify import sign_census
+
     census = sign_census(args.m)
     print(
         "%d total, %d positive, %d negative, %d zero"
@@ -247,6 +243,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .verify import main_theorem_sweep
+
     report = main_theorem_sweep(args.max, jobs=args.jobs)
     print("sweep: max=%d jobs=%d" % (args.max, args.jobs))  # after the run, so a rejected bound prints nothing
     for failure in report.failures:
@@ -259,6 +257,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    from .verify import dimension_match
+
     ok = dimension_match(args.n, args.target)
     counts = partition_counts(args.n)
     total = sum(counts[k] * counts[args.n - k] for k in range(args.n + 1))

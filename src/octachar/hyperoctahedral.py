@@ -110,12 +110,6 @@ def parse_bipartition(text: str) -> BiPartition:
     return BiPartition(p0, p1)
 
 
-def embed_class(c: BnClass) -> Partition:
-    """Cycle type in S_2n of a B_n class: each positive cycle twice, negatives doubled."""
-    parts = list(c.positive) * 2 + [2 * v for v in c.negative]
-    return Partition(sorted(parts, reverse=True))
-
-
 def norm(w, target: str | None = None) -> BnClass:
     """Norm map: the S_2n class with all cycles even {2p_1 >= ... >= 2p_r} goes to
     the all-positive B_n class with cycles {p_1 >= ... >= p_r}.

@@ -101,18 +101,6 @@ def beta_set(lam, length: int) -> tuple:
     return tuple(padded[i] + (length - 1 - i) for i in range(length))
 
 
-def partition_from_beta(beta) -> Partition:
-    """Inverse of beta_set; beta must be strictly decreasing and non-negative."""
-    beta = tuple(beta)
-    for i, b in enumerate(beta):
-        if not isinstance(b, int) or b < 0:
-            raise ValueError("beta entries must be non-negative integers, got %r" % (b,))
-        if i and beta[i - 1] <= b:
-            raise ValueError("beta entries must be strictly decreasing, got %r" % (beta,))
-    r = len(beta)
-    return _partition(v for v in (beta[i] - (r - 1 - i) for i in range(r)) if v > 0)
-
-
 def beta_mask(lam) -> int:
     """Canonical beta-set of lam as a bitmask (a Maya diagram): bit b is set when
     b = lam_i + r - i for one of the r parts, so bit 0 is clear and () is 0."""
@@ -221,11 +209,6 @@ def p_core(lam, p: int) -> Partition:
     return _from_mask(_quotient_mask(beta_mask(lam), [0] * p))
 
 
-def is_p_core(lam, p: int) -> bool:
-    """True when no hook length of lam is divisible by p."""
-    return p_core(lam, p) == Partition(lam)
-
-
 def p_quotient(lam, p: int) -> tuple:
     """Ordered tuple of p partitions read off the abacus runners of the beta-set.
 
@@ -287,12 +270,6 @@ def _shuffle_sign(mask: int, size: int) -> int:
         odd ^= low
         inversions += (even & ((low << 1) - 1)).bit_count() + k + 1 - odd_size
     return -1 if inversions % 2 else 1
-
-
-def sign_odd_parts(lam) -> int:
-    """(-1)^k where the number of odd parts is 2k or 2k+1; defined everywhere."""
-    k = sum(1 for v in lam if v % 2) // 2
-    return -1 if k % 2 else 1
 
 
 def format_partition(lam) -> str:

@@ -10,6 +10,12 @@ cell-by-cell diagram surgery, and bead moves on tuple beta-sets (the library
 moves beads on int bitmasks).  Characters of S_m and B_n have a reference route in the
 remove-hooks recursion on tuple beta-sets (the library goes by layers of
 bitmasks, and adds hooks for whole columns).
+
+A few small routes that no library path calls live here too, so the library
+does not carry them: decoding a tuple beta-set, the doubled and embedded
+classes, the sign character, the odd-part sign that the shuffle sign equals,
+and `is_p_core`, which asks the library's `p_core` (the tests check it
+against the hook lengths).
 """
 
 import itertools
@@ -17,8 +23,50 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from octachar.partitions import Partition, beta_set, partitions_of
+from octachar.partitions import Partition, beta_set, p_core, partitions_of
 from octachar.characters import mn_character
+
+
+# -- small routes that only the tests use -----------------------------------
+
+
+def partition_from_beta(beta):
+    """Inverse of beta_set; beta must be strictly decreasing and non-negative."""
+    beta = tuple(beta)
+    for i, b in enumerate(beta):
+        if not isinstance(b, int) or b < 0:
+            raise ValueError("beta entries must be non-negative integers, got %r" % (b,))
+        if i and beta[i - 1] <= b:
+            raise ValueError("beta entries must be strictly decreasing, got %r" % (beta,))
+    r = len(beta)
+    return Partition(v for v in (beta[i] - (r - 1 - i) for i in range(r)) if v > 0)
+
+
+def is_p_core(lam, p):
+    """True when removing p-hooks leaves lam unchanged (the library's p_core)."""
+    return p_core(lam, p) == Partition(lam)
+
+
+def sign_odd_parts(lam):
+    """(-1)^k where the number of odd parts is 2k or 2k+1; defined everywhere."""
+    k = sum(1 for v in lam if v % 2) // 2
+    return -1 if k % 2 else 1
+
+
+def double_class(rho):
+    """Cycle type with every part doubled (a class of S_{2m})."""
+    return Partition(2 * v for v in rho)
+
+
+def sign_of_class(rho):
+    """Sign character of S_m at cycle type rho."""
+    rho = Partition(rho)
+    return -1 if (sum(rho) - len(rho)) % 2 else 1
+
+
+def embed_class(c):
+    """Cycle type in S_2n of a B_n class: each positive cycle twice, negatives doubled."""
+    return Partition(sorted(list(c.positive) * 2 + [2 * v for v in c.negative], reverse=True))
 
 
 # -- permutations of {0..n-1} as image tuples --------------------------------

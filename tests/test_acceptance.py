@@ -17,7 +17,6 @@ from octachar.partitions import (
     p_quotient,
     parse_partition,
     partitions_of,
-    sign_odd_parts,
     sign_shuffle,
 )
 from octachar.characters import (
@@ -30,7 +29,6 @@ from octachar.characters import (
 from octachar.hyperoctahedral import (
     bipartitions_of,
     bn_class,
-    embed_class,
     norm,
 )
 from octachar.symfunc import (
@@ -45,7 +43,7 @@ from octachar.verify import (
     sign_census,
 )
 
-from oracles import sn_character_table_young
+from oracles import embed_class, sign_odd_parts, sn_character_table_young
 
 
 def P(text):

@@ -10,19 +10,24 @@ from octachar.characters import (
     character_table,
     class_size,
     dimension,
-    double_class,
     even_cycle_classes,
     mn_character,
     mn_column,
     mn_columns,
     product_character,
-    sign_of_class,
 )
 
 from fractions import Fraction
 from math import comb, factorial
 
-from oracles import centralizer_count, induced_product_character, mn_by_recursion, sn_character_table_young
+from oracles import (
+    centralizer_count,
+    double_class,
+    induced_product_character,
+    mn_by_recursion,
+    sign_of_class,
+    sn_character_table_young,
+)
 
 young_table = lru_cache(maxsize=None)(sn_character_table_young)
 

@@ -21,7 +21,6 @@ from octachar.hyperoctahedral import (
     bn_column,
     bn_columns,
     bn_dimension,
-    embed_class,
     format_bipartition,
     norm,
     parse_bipartition,
@@ -30,7 +29,7 @@ from octachar.hyperoctahedral import (
     _signed_cycles,
 )
 
-from oracles import bn_by_recursion, signed_class_representative, signed_compose, signed_inverse
+from oracles import bn_by_recursion, embed_class, signed_class_representative, signed_compose, signed_inverse
 
 
 def P(text):

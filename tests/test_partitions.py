@@ -11,19 +11,25 @@ from octachar.partitions import (
     from_core_and_quotient,
     hook_layer,
     hook_lengths,
-    is_p_core,
     p_core,
     p_quotient,
     parse_partition,
     partition_counts,
-    partition_from_beta,
     partitions_of,
-    sign_odd_parts,
     sign_shuffle,
     _from_mask,
 )
 
-from oracles import mask_beads, rim_hook_cores, rim_hook_removals, rim_hooks_on_tuples, sign_shuffle_by_permutation
+from oracles import (
+    is_p_core,
+    mask_beads,
+    partition_from_beta,
+    rim_hook_cores,
+    rim_hook_removals,
+    rim_hooks_on_tuples,
+    sign_odd_parts,
+    sign_shuffle_by_permutation,
+)
 
 
 def P(text):
