@@ -2,19 +2,21 @@
 
 Conjugacy classes of S_m are identified with their cycle-type partitions.
 Character values come from the Murnaghan-Nakayama rule on beta-set bitmasks
-(`partitions.beta_mask`), one `partitions.hook_layer` per cycle, with no memo.
-A single value removes the cycles top-down from {mask of lam: 1}, iteratively,
-so the number of cycles is not bounded by the stack; columns {mask:
-chi_lam(rho)} grow from the empty partition, shortest cycle first, and
-`mn_columns` builds a family's columns in one walk that expands each shared
-prefix once (`character_table` 15: 351 layers for 176 columns).  The character
-induced from S_a x S_b runs the same layers on pairs of masks (`_pair_layer`),
-the frontier that `hyperoctahedral` uses for B_n characters.
+(`partitions.beta_mask`), one `partitions.hook_layer` per cycle.  A single
+value removes the cycles top-down from {mask of lam: 1}, iteratively, so the
+number of cycles is not bounded by the stack; columns {mask: chi_lam(rho)}
+grow from the empty partition, shortest cycle first, and `mn_columns` builds
+a family's columns in one walk that expands each shared prefix once
+(`character_table` 15: 351 layers for 176 columns).  The only memo is the
+walk's move rows: one row per distinct (mask, |t|) the walk reaches (1,246
+for `character_table` 15, against 7,717 mask visits), freed when it returns.
+The character induced from S_a x S_b runs the same layers on pairs of masks
+(`_pair_layer`), the frontier that `hyperoctahedral` uses for B_n characters.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import reduce
 from math import factorial, prod
 
@@ -63,29 +65,36 @@ def mn_columns(classes) -> dict:
 def _walk(start: dict, sequences: dict, layer) -> dict:
     """{key: `start` grown by adding hooks of the lengths sequences[key]} in one
     depth-first walk: in lexicographic order, the frontier after each prefix of
-    the current sequence stays on a stack, so a shared prefix is expanded once."""
+    the current sequence stays on a stack, so a shared prefix is expanded once.
+    With more than one sequence the layers of one hook length |t| share their
+    move rows (see `partitions.hook_layer`), freed on return.  One sequence
+    records none: its layers all differ in size, so an S_m column never meets
+    a mask twice."""
     columns, stack = {}, [((), start)]  # (prefix, frontier after it)
+    rows = defaultdict(dict) if len(sequences) > 1 else None  # |t| -> {mask: row}
     for key, lengths in sorted(sequences.items(), key=lambda item: item[1]):
         while lengths[: len(stack[-1][0])] != stack[-1][0]:
             stack.pop()
         for t in lengths[len(stack[-1][0]) :]:
-            stack.append((stack[-1][0] + (t,), layer(stack[-1][1], t, True)))
+            shared = None if rows is None else rows[abs(t)]
+            stack.append((stack[-1][0] + (t,), layer(stack[-1][1], t, True, shared)))
         columns[key] = stack[-1][1]
     return {key: columns[key] for key in sequences}
 
 
-def _pair_layer(frontier: dict, t: int, add: bool = False) -> dict:
+def _pair_layer(frontier: dict, t: int, add: bool = False, rows: dict = None) -> dict:
     """`hook_layer` on (mask0, mask1) keys at a signed cycle length t: the hook
     goes into mask0, or into mask1 with its sign negated when t < 0.  Keys are
-    grouped by the mask that stays, and the layer runs once per group."""
+    grouped by the mask that stays, and the layer runs once per group; `rows`
+    is keyed by the mask that moves, so t and -t can share it."""
     by1, by0, length = {}, {}, abs(t)
     for (mask0, mask1), value in frontier.items():
         by1.setdefault(mask1, {})[mask0] = value
         by0.setdefault(mask0, {})[mask1] = value if t > 0 else -value
     layer = {(mask0, mask1): value for mask1, group in by1.items()
-             for mask0, value in hook_layer(group, length, add).items()}
+             for mask0, value in hook_layer(group, length, add, rows).items()}
     for mask0, group in by0.items():
-        for mask1, value in hook_layer(group, length, add).items():
+        for mask1, value in hook_layer(group, length, add, rows).items():
             layer[mask0, mask1] = layer.get((mask0, mask1), 0) + value
     if 0 in layer.values():
         layer = {key: value for key, value in layer.items() if value}

@@ -3,13 +3,15 @@
 Everything here works through beta-sets (strictly decreasing non-negative
 integers).  A partition padded with zeros to r parts corresponds to the
 beta-set {lam_i + r - i : i = 1..r}; removing a rim hook of length t is the
-bead move b -> b - t.  The library holds a beta-set as an int bitmask
-(`beta_mask`, bit b set when b is a bead).  The one copy of the bead-move
-arithmetic, `hook_layer`, moves a whole frontier {mask: value} by one hook
-length.  Quotients, the p-core (every runner flushed, which is what removing
-p-hooks one at a time leaves) and the shuffle sign are read off the p abacus
-runners of the mask (runner i holds the beads congruent to i mod p), and
-`_interleave` puts runners back together.  Padding length matters for the
+bead move b -> b - t, and adding one is b -> b + t, where the beads below 0
+that every beta-set implicitly has (at -1, -2, ...) may move up too.  The
+library holds a beta-set as an int bitmask (`beta_mask`, bit b set when b is
+a bead).  The one copy of the bead-move arithmetic, `hook_layer`, moves a
+whole frontier {mask: value} by one hook length.  Quotients, the p-core
+(every runner flushed, which is what removing p-hooks one at a time leaves)
+and the shuffle sign are read off the p abacus runners of the mask (runner i
+holds the beads congruent to i mod p), and `_interleave` puts runners back
+together.  Padding length matters for the
 p-quotient and for the shuffle sign, so the convention is fixed once here
 (`_padded_mask`):
 
@@ -112,19 +114,36 @@ def beta_mask(lam) -> int:
     return mask
 
 
-def hook_layer(frontier: dict, t: int, add: bool = False) -> dict:
+def hook_layer(frontier: dict, t: int, add: bool = False, rows: dict = None) -> dict:
     """{mask: value} -> {moved: sum of +-value} over every rim hook of length t
     removed from (with `add`, added to) each mask: a bead b moves to a free
-    b - t (b + t, after padding beads at 0..t-1) with sign (-1)^(beads between).
-    Equal results merge, zeros drop, and beads at 0..k-1 are shifted out."""
+    b - t (b + t) with sign (-1)^(beads between).  Adding also moves the beads
+    below 0 that every mask implicitly has: for a free p < t, the bead at
+    p - t moves up to p.  Equal results merge, zeros drop, and beads at
+    0..k-1 are shifted out.
+
+    `rows`, when given, is {mask: (plus, minus)} for this t and direction: the
+    moved masks of each mask by sign.  A mask found there is moved by its row;
+    any other mask gets its row recorded while it is moved."""
     layer = {}
     get = layer.get
     for mask, value in frontier.items():
+        row = None
+        if rows is not None:
+            row = rows.get(mask)
+            if row is not None:
+                for moved in row[0]:
+                    layer[moved] = get(moved, 0) + value
+                for moved in row[1]:
+                    layer[moved] = get(moved, 0) - value
+                continue
+            row = rows[mask] = ([], [])
         if add:
-            mask = ((mask + 1) << t) - 1  # beads at 0..t-1 under mask
             moves = mask & ~(mask >> t)
+            below = ~mask & ((1 << t) - 1)  # free p < t, filled from p - t
         else:
             moves = (mask & ~(mask << t)) >> t
+            below = 0
         while moves:
             low = moves & -moves
             moves ^= low
@@ -132,7 +151,19 @@ def hook_layer(frontier: dict, t: int, add: bool = False) -> dict:
             moved = mask ^ high ^ low
             if moved & 1:
                 moved >>= (moved ^ (moved + 1)).bit_length() - 1
-            layer[moved] = get(moved, 0) + (-value if (mask & (high - (low << 1))).bit_count() & 1 else value)
+            odd = (mask & (high - (low << 1))).bit_count() & 1
+            layer[moved] = get(moved, 0) + (-value if odd else value)
+            if row is not None:
+                row[odd].append(moved)
+        while below:
+            low = below & -below
+            below ^= low
+            j = t + 1 - low.bit_length()  # the bead at -j lands on p = t - j
+            moved = ((mask | low) << j) | ((1 << j) - 2)
+            odd = (j - 1 + (mask & (low - 1)).bit_count()) & 1
+            layer[moved] = get(moved, 0) + (-value if odd else value)
+            if row is not None:
+                row[odd].append(moved)
     if 0 in layer.values():
         layer = {key: value for key, value in layer.items() if value}
     return layer

@@ -143,21 +143,44 @@ class TestMurnaghanNakayama:
 
 
 class TestFamilyWalk:
-    def test_layer_calls_are_distinct_shortest_first_prefixes(self, monkeypatch):
-        # a shared prefix of cycle lengths is expanded once, not once per class
+    @staticmethod
+    def counting_layers(monkeypatch):
+        """Record (t, rows, masks of the frontier found in rows, rows built) per layer."""
         calls = []
 
-        def counting(frontier, t, add=False):
-            calls.append(t)
-            return hook_layer(frontier, t, add)
+        def counting(frontier, t, add=False, rows=None):
+            found = 0 if rows is None else sum(mask in rows for mask in frontier)
+            before = 0 if rows is None else len(rows)
+            layer = hook_layer(frontier, t, add, rows)
+            calls.append((t, rows, found, 0 if rows is None else len(rows) - before))
+            return layer
 
         monkeypatch.setattr(characters, "hook_layer", counting)
+        return calls
+
+    def test_layer_calls_are_distinct_shortest_first_prefixes(self, monkeypatch):
+        # a shared prefix of cycle lengths is expanded once, not once per class
+        calls = self.counting_layers(monkeypatch)
         character_table(15)
         classes = list(partitions_of(15))
         prefixes = {tuple(reversed(rho))[:j] for rho in classes for j in range(1, len(rho) + 1)}
         assert len(prefixes) == 351
         assert sum(len(rho) for rho in classes) == 1068  # one column per class from the empty partition
         assert len(calls) == len(prefixes)
+
+    def test_family_builds_each_move_row_once(self, monkeypatch):
+        # 7,717 (mask, t) visits over the 351 layers, 1,246 of them distinct
+        calls = self.counting_layers(monkeypatch)
+        character_table(15)
+        assert len(calls) == 351
+        assert sum(built for _, _, _, built in calls) == 1246
+        assert sum(found for _, _, found, _ in calls) == 6471
+        assert len({id(rows) for _, rows, _, _ in calls}) == 15  # one rows dict per hook length
+
+    def test_one_class_records_no_rows(self, monkeypatch):
+        calls = self.counting_layers(monkeypatch)
+        mn_column(P("[2^15]"))
+        assert [(t, rows) for t, rows, _, _ in calls] == [(2, None)] * 15
 
     def test_family_columns_equal_columns_of_one(self):
         for m in range(13):

@@ -213,6 +213,25 @@ class TestHookLayer:
         assert hook_layer(masks, t) == {key: value for key, value in removed.items() if value}
         assert hook_layer(masks, t, add=True) == {key: value for key, value in added.items() if value}
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda k: st.tuples(
+        st.dictionaries(st.sampled_from(list(partitions_of(k))), st.integers(-3, 3)),
+        st.dictionaries(st.sampled_from(list(partitions_of(k))), st.integers(-3, 3)),
+        st.integers(1, 6), st.booleans())))
+    def test_rows_give_the_same_layer(self, case):
+        # cold rows, the same rows again (all hits), and rows filled by another frontier
+        frontier, other, t, add = case
+        masks = {beta_mask(lam): value for lam, value in frontier.items()}
+        expected = hook_layer(masks, t, add)
+        rows = {}
+        assert hook_layer(masks, t, add, rows) == expected
+        assert set(rows) == set(masks)
+        assert hook_layer(masks, t, add, rows) == expected
+        rows = {}
+        hook_layer({beta_mask(lam): value for lam, value in other.items()}, t, add, rows)
+        assert hook_layer(masks, t, add, rows) == expected
+        assert set(rows) == set(masks) | {beta_mask(lam) for lam in other}
+
 
 def add_hooks(mask, t):
     """(added, sign) for every rim hook of length t added to one mask."""
@@ -244,6 +263,18 @@ class TestAddHooks:
         assert sorted(add_hooks(0, 3)) == sorted(
             (beta_mask(lam), -1 if len(lam) % 2 == 0 else 1) for lam in ([3], [2, 1], [1, 1, 1])
         )
+
+    def test_hooks_onto_the_empty_partition(self):
+        # every bead moved comes from below 0: the hooks [t - j, 1^j], sign (-1)^j
+        for t in range(1, 13):
+            expected = {beta_mask([t - j] + [1] * j): (-1) ** j for j in range(t)}
+            assert dict(add_hooks(0, t)) == expected, t
+
+    def test_padded_input_gives_canonical_output(self):
+        # beta-set (5, 4, 1, 0) is [2,2] padded to four parts; t = 2 moves the bead at 0
+        padded = sum(1 << b for b in beta_set(Partition([2, 2]), 4))
+        for t in range(1, 7):
+            assert sorted(add_hooks(padded, t)) == sorted(add_hooks(beta_mask(Partition([2, 2])), t)), t
 
 
 class TestCores:
