@@ -14,8 +14,6 @@ The character induced from S_a x S_b runs the same layers on pairs of masks
 (`_pair_layer`), the frontier that `hyperoctahedral` uses for B_n characters.
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict
 from functools import reduce
 from math import factorial, prod

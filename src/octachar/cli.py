@@ -14,12 +14,20 @@ at most min(jobs, max) start; `census` accepts `--jobs` and runs in one process.
 A command imports only the layers it runs: this module loads partitions and
 characters, which every layer imports, and each handler imports the rest
 itself; tests/test_startup.py pins which.
+
+The command line is read from `_COMMANDS`, one table that dispatch reads too:
+the command name, then its positionals in order and its options in any order,
+as `--opt value` or `--opt=value`, where a unique prefix of an option (`--max-s`)
+names it.  An option's value is the next token as it is, so `--max -3` reads -3;
+after `--` every token is a positional.  `-h` or `--help` prints the usage to
+stdout and raises SystemExit(0); a usage error (unknown command or option, a
+missing or extra argument, a bad int or choice, `--jobs 0`, `--json` with
+`--tsv`) prints the usage and `octachar: error: ...` to stderr and raises
+SystemExit(2).
 """
 
-from __future__ import annotations
-
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .partitions import PartitionParseError, format_partition, parse_partition, partition_counts
 from .characters import mn_character, character_table
@@ -28,60 +36,8 @@ from .characters import mn_character, character_table
 def _jobs_value(value) -> int:
     jobs = int(value)
     if jobs < 1:
-        raise argparse.ArgumentTypeError("jobs must be at least 1")
+        raise ValueError("jobs must be at least 1")
     return jobs
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="octachar",
-        description="Exact symmetric-group / hyperoctahedral character computations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("char", help="character value of an irreducible at a class")
-    p.add_argument("lam", help="partition literal, e.g. [3,2,1^4]")
-    p.add_argument("rho", help="cycle type literal, e.g. [2^4]")
-
-    p = sub.add_parser("chartable", help="full character table of S_m as TSV")
-    p.add_argument("m", type=int)
-
-    p = sub.add_parser("basechange", help="partition attached to a bipartition")
-    p.add_argument("pair", help="bipartition literal, e.g. ([2,1]|[1])")
-    p.add_argument("--target", choices=("even", "odd"), required=True)
-
-    p = sub.add_parser("norm", help="halve an even-cycle class down to B_n")
-    p.add_argument("w", help="cycle type literal, e.g. [4,2,2]")
-    p.add_argument("--target", choices=("even", "odd"))
-
-    p = sub.add_parser("schur", help="exact Schur polynomial value at a point")
-    p.add_argument("lam")
-    p.add_argument("--at", required=True, help="comma-separated rationals, e.g. 1,1/2,3")
-
-    p = sub.add_parser("verify", help="identity sweeps with seeded random points")
-    p.add_argument("what", choices=("frobenius", "even-fact", "odd-fact"))
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("table", help="the 2n <-> 2n+1 correspondence table")
-    p.add_argument("--n", type=int, required=True)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--tsv", action="store_true")
-
-    p = sub.add_parser("census", help="signs of characters at the involution class")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs_value, default=1, help="accepted; the census runs in one process")
-
-    p = sub.add_parser("sweep", help="exhaustive main character identity check")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs_value, default=1, help="worker processes, one value of n each")
-
-    p = sub.add_parser("dims", help="match B_n dimensions against |character| values")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", choices=("even", "odd"), required=True)
-
-    return parser
 
 
 def _cmd_char(args) -> int:
@@ -121,7 +77,7 @@ def _excerpt(text: str) -> str:
     return repr(text if len(text) <= 40 else text[:37] + "...")
 
 
-def _point_value(tok: str) -> Fraction:
+def _point_value(tok: str) -> "Fraction":
     """One --at coordinate.  A value with more digits, or a larger exponent,
     than the interpreter's int/str digit limit is refused before it is built:
     its result could not be printed, and 1e200000000 would take minutes."""
@@ -269,24 +225,143 @@ def _cmd_dims(args) -> int:
     return 1
 
 
-_HANDLERS = {
-    "char": _cmd_char,
-    "chartable": _cmd_chartable,
-    "basechange": _cmd_basechange,
-    "norm": _cmd_norm,
-    "schur": _cmd_schur,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-    "census": _cmd_census,
-    "sweep": _cmd_sweep,
-    "dims": _cmd_dims,
+_REQUIRED = object()  # the default of an option that must be given
+_TARGET = ("even", "odd")
+
+# name: (handler, help, positionals as (dest, type, help), options as {option: (type, default, help)}).
+# A type is a callable, a tuple of choices, or bool for a flag; a command's flags exclude one another.
+_COMMANDS = {
+    "char": (_cmd_char, "character value of an irreducible at a class",
+             (("lam", str, "partition literal, e.g. [3,2,1^4]"), ("rho", str, "cycle type literal, e.g. [2^4]")), {}),
+    "chartable": (_cmd_chartable, "full character table of S_m as TSV", (("m", int, ""),), {}),
+    "basechange": (_cmd_basechange, "partition attached to a bipartition",
+                   (("pair", str, "bipartition literal, e.g. ([2,1]|[1])"),), {"--target": (_TARGET, _REQUIRED, "")}),
+    "norm": (_cmd_norm, "halve an even-cycle class down to B_n",
+             (("w", str, "cycle type literal, e.g. [4,2,2]"),), {"--target": (_TARGET, None, "")}),
+    "schur": (_cmd_schur, "exact Schur polynomial value at a point",
+              (("lam", str, ""),), {"--at": (str, _REQUIRED, "comma-separated rationals, e.g. 1,1/2,3")}),
+    "verify": (_cmd_verify, "identity sweeps with seeded random points",
+               (("what", ("frobenius", "even-fact", "odd-fact"), ""),),
+               {"--max-size": (int, None, ""), "--seed": (int, 0, "")}),
+    "table": (_cmd_table, "the 2n <-> 2n+1 correspondence table",
+              (), {"--n": (int, _REQUIRED, ""), "--json": (bool, False, ""), "--tsv": (bool, False, "")}),
+    "census": (_cmd_census, "signs of characters at the involution class", (),
+               {"--m": (int, _REQUIRED, ""), "--jobs": (_jobs_value, 1, "accepted; the census runs in one process")}),
+    "sweep": (_cmd_sweep, "exhaustive main character identity check",
+              (), {"--max": (int, _REQUIRED, ""), "--jobs": (_jobs_value, 1, "worker processes, one value of n each")}),
+    "dims": (_cmd_dims, "match B_n dimensions against |character| values",
+             (), {"--n": (int, _REQUIRED, ""), "--target": (_TARGET, _REQUIRED, "")}),
 }
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _arguments(name) -> list:
+    """[(argument, type, default, help)], positionals first, for a command or,
+    when `name` is None, for the command line itself."""
+    if not name:
+        return [("command", tuple(_COMMANDS), _REQUIRED, "")]
+    _, _, positionals, options = _COMMANDS[name]
+    arguments = [(dest, kind, _REQUIRED, text) for dest, kind, text in positionals]
+    return arguments + [(option, *spec) for option, spec in options.items()]
+
+
+def _label(argument: str, kind) -> str:
+    """An argument as usage and help show it: lam, {even,odd}, --max MAX or --json."""
+    choices = "{%s}" % ",".join(kind) if type(kind) is tuple else None
+    if not argument.startswith("--"):
+        return choices or argument
+    return argument if kind is bool else "%s %s" % (argument, choices or argument[2:].replace("-", "_").upper())
+
+
+def _usage(name) -> str:
+    words = ["usage: octachar", name, "[-h]"]
+    for argument, kind, default, _ in _arguments(name):
+        words.append(_label(argument, kind) if default is _REQUIRED else "[%s]" % _label(argument, kind))
+    return " ".join(filter(None, words))
+
+
+def _help(name) -> str:
+    if name:
+        rows = [(_label(argument, kind), text) for argument, kind, _, text in _arguments(name)]
+    else:
+        rows = [(command, spec[1]) for command, spec in _COMMANDS.items()]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(label) for label, _ in rows)
+    about = _COMMANDS[name][1] if name else "Exact symmetric-group / hyperoctahedral character computations."
+    return "\n".join([_usage(name), "", about, ""] + [("  %-*s  %s" % (width, *row)).rstrip() for row in rows])
+
+
+def _fail(name, message: str):
+    print("%s\noctachar: error: %s" % (_usage(name), message), file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _convert(name, argument: str, kind, token: str):
+    if type(kind) is tuple:
+        if token not in kind:
+            choices = ", ".join(map(repr, kind))
+            _fail(name, "argument %s: invalid choice: %r (choose from %s)" % (argument, token, choices))
+        return token
     try:
-        return _HANDLERS[args.command](args)
+        return kind(token)
+    except ValueError as exc:
+        _fail(name, "argument %s: %s" % (argument, exc))
+
+
+def _read(tokens: list, name) -> dict:
+    """{dest: value} for the arguments of command `name`, or {"command": name}
+    for the first token of the command line when `name` is None.  -h prints
+    help and raises SystemExit(0); a usage error raises SystemExit(2)."""
+    arguments = _arguments(name)
+    options = {a[0]: a for a in arguments if a[0].startswith("--")}
+    options["--help"] = ("--help", bool, False, "")
+    waiting = [a for a in arguments if a[0] not in options]
+    values, extra, tokens, ended = {}, [], iter(tokens), False
+    for token in tokens:
+        if token == "--" and not ended:
+            ended = True  # the rest are positionals
+        elif ended or not (token == "-h" or token.startswith("--")):
+            if waiting:
+                argument, kind, _, _ = waiting.pop(0)
+                values[argument] = _convert(name, argument, kind, token)
+            else:
+                extra.append(token)
+        else:
+            flag, explicit, value = token.partition("=")
+            flag = "--help" if flag == "-h" else flag
+            found = [flag] if flag in options else [option for option in options if option.startswith(flag)]
+            if len(found) > 1:
+                _fail(name, "ambiguous option: %s could match %s" % (flag, ", ".join(found)))
+            if not found:
+                extra.append(token)
+                continue
+            option, kind, _, _ = options[found[0]]
+            if kind is bool and explicit:
+                _fail(name, "argument %s: ignored explicit argument %r" % (option, value))
+            if option == "--help":
+                print(_help(name))
+                raise SystemExit(0)
+            if kind is not bool and not explicit:
+                value = next(tokens, None)  # taken as it is, so "--max -3" reads -3
+                if value is None:
+                    _fail(name, "argument %s: expected one argument" % option)
+            values[option] = True if kind is bool else _convert(name, option, kind, value)
+    flags = [argument for argument, kind, _, _ in arguments if kind is bool and argument in values]
+    if len(flags) > 1:
+        _fail(name, "argument %s: not allowed with argument %s" % (flags[1], flags[0]))
+    missing = [argument for argument, _, default, _ in arguments if default is _REQUIRED and argument not in values]
+    if missing:
+        _fail(name, "the following arguments are required: %s" % ", ".join(missing))
+    if extra:
+        _fail(name, "unrecognized arguments: %s" % " ".join(extra))
+    return {a.lstrip("-").replace("-", "_"): values.get(a, default) for a, _, default, _ in arguments}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = _read(argv[:1], None)["command"]
+    args = SimpleNamespace(**_read(argv[1:], name))
+    try:
+        return _COMMANDS[name][0](args)
     except (PartitionParseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

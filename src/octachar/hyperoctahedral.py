@@ -20,8 +20,6 @@ An element is stored as a tuple g of length n with g[i] = image of i+1 in
 {+-1..+-n}; the image of -(i+1) is forced to -g[i].
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import Counter
 from functools import lru_cache, reduce

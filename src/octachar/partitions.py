@@ -23,8 +23,6 @@ p-quotient and for the shuffle sign, so the convention is fixed once here
     beta-numbers congruent to i mod p; other padding choices permute slots.
 """
 
-from __future__ import annotations
-
 import itertools
 
 

@@ -30,8 +30,6 @@ error.  The mirrored point (X, -X) needs the |x_i| distinct and nonzero, and
 (X, -X, x) additionally needs |x| distinct from every |x_i|.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -201,14 +199,19 @@ def _frobenius_weights(size: int, values: tuple) -> tuple:
     return expansion, factorial(size) * scale**size
 
 
-def verify_frobenius(lam, values) -> bool:
+def verify_frobenius(lam, values, *, weights=None) -> bool:
     """Check s_lam(point) against the power-sum expansion with character coefficients:
-    sum over classes rho of chi_lam(rho)/|Z(rho)| * p_rho(point)."""
+    sum over classes rho of chi_lam(rho)/|Z(rho)| * p_rho(point).
+
+    A sweep over many lam at one point of Fractions passes `weights` =
+    _frobenius_weights(|lam|, tuple(point)), built once.
+    """
     lam = Partition(lam)
-    values = tuple(Fraction(v) for v in values)
-    lhs = schur_eval(lam, values)
-    expansion, denominator = _frobenius_weights(lam.size, values)
-    return lhs == Fraction(expansion.get(beta_mask(lam), 0), denominator)
+    if weights is None:
+        values = tuple(Fraction(v) for v in values)
+        weights = _frobenius_weights(lam.size, values)
+    expansion, denominator = weights
+    return schur_eval(lam, values) == Fraction(expansion.get(beta_mask(lam), 0), denominator)
 
 
 def verify_factorization_even(lam, xs, *, point=None, squares=None) -> bool:
@@ -293,9 +296,10 @@ def frobenius_sweep(max_size: int, seed: int, points_per_size: int = 5) -> int:
     checked = 0
     for m in range(1, max_size + 1):
         points = [random_rationals(m, rng) for _ in range(points_per_size)]
+        weights = [_frobenius_weights(m, tuple(point)) for point in points]
         for lam in partitions_of(m):
-            for point in points:
-                if not verify_frobenius(lam, point):
+            for point, point_weights in zip(points, weights):
+                if not verify_frobenius(lam, point, weights=point_weights):
                     raise SweepFailure(
                         "frobenius failed at lam=%s point=%s" % (lam, point)
                     )

@@ -11,8 +11,6 @@ for loading it.  The records are `NamedTuple`s and one plain class, not
 dataclasses, for the same reason.
 """
 
-from __future__ import annotations
-
 from functools import partial
 from typing import NamedTuple
 

@@ -16,7 +16,11 @@ from octachar.hyperoctahedral import parse_bipartition
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of main; help and usage errors exit by SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -278,7 +282,7 @@ _argv = st.one_of(
 def test_fuzzed_arguments_never_end_in_a_traceback(capsys, argv):
     try:
         code = main(list(argv))
-    except SystemExit as exc:  # argparse rejects the arguments
+    except SystemExit as exc:  # the parser rejects the arguments
         code = exc.code
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
@@ -288,3 +292,62 @@ def test_fuzzed_arguments_never_end_in_a_traceback(capsys, argv):
 def test_unknown_command_fails():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+COMMAND_LINES = [
+    # argv, exit code, start of stdout, what stderr says after "octachar: error: "
+    (["verify", "frobenius", "--max-size=2", "--seed=7"], 0, "verify frobenius: max-size=2 seed=7\n", None),
+    (["verify", "frobenius", "--max-s", "2"], 0, "verify frobenius: max-size=2 seed=0\n", None),
+    (["sweep", "--jobs", "1", "--m=1"], 0, "sweep: max=1 jobs=1\n", None),
+    (["norm", "[4]"], 0, "([2]|[])\n", None),  # --target defaults to None
+    (["char", "--", "[1]", "[1]"], 0, "1\n", None),
+    (["-h"], 0, "usage: octachar [-h] {char,", None),
+    (["--he"], 0, "usage: octachar [-h] {char,", None),
+    (["sweep", "-h"], 0, "usage: octachar sweep [-h] --max MAX [--jobs JOBS]\n", None),
+    (["table", "--n", "1", "--help"], 0, "usage: octachar table [-h] --n N [--json] [--tsv]\n", None),
+    (["sweep", "--=1"], 2, "", "ambiguous option: -- could match --max, --jobs, --help"),
+    ([], 2, "", "the following arguments are required: command"),
+    (["frobnicate"], 2, "", "argument command: invalid choice: 'frobnicate' (choose from 'char', "),
+    (["sweep", "--max", "1", "--bogus"], 2, "", "unrecognized arguments: --bogus"),
+    (["char", "[1]"], 2, "", "the following arguments are required: rho"),
+    (["dims", "--n", "2"], 2, "", "the following arguments are required: --target"),
+    (["schur", "[1]", "--at"], 2, "", "argument --at: expected one argument"),
+    (["census", "--m", "x"], 2, "", "argument --m: invalid literal for int()"),
+    (["sweep", "--m", "x"], 2, "", "argument --max: invalid literal for int()"),
+    (["chartable", "x"], 2, "", "argument m: invalid literal for int()"),
+    (["dims", "--n", "2", "--target", "foo"], 2, "", "argument --target: invalid choice: 'foo'"),
+    (["verify", "frob"], 2, "", "argument what: invalid choice: 'frob'"),
+    (["sweep", "--max", "1", "--jobs", "0"], 2, "", "argument --jobs: jobs must be at least 1"),
+    (["table", "--n", "1", "--json", "--tsv"], 2, "", "argument --tsv: not allowed with argument --json"),
+    (["table", "--n", "1", "--json=1"], 2, "", "argument --json: ignored explicit argument '1'"),
+    (["char", "[1]", "[1]", "[1]"], 2, "", "unrecognized arguments: [1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", COMMAND_LINES, ids=[" ".join(case[0]) or "no arguments" for case in COMMAND_LINES]
+)
+def test_command_line(capsys, argv, code, out, err):
+    got_code, got_out, got_err = run(capsys, *argv)
+    assert got_code == code
+    assert got_out.startswith(out) and (code == 0 or got_out == "")
+    if err is None:
+        assert got_err == ""
+    else:
+        assert got_err.startswith("usage: octachar")
+        assert "\noctachar: error: " + err in got_err
+
+
+def test_help_lists_commands_and_arguments(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    for line in ["char        character value of an irreducible at a class", "dims        match B_n dimensions"]:
+        assert "\n  " + line in out
+    assert out.count("\n  ") == 11  # ten commands and -h
+    code, out, _ = run(capsys, "census", "-h")
+    assert code == 0
+    assert "\n  --jobs JOBS  accepted; the census runs in one process\n" in out
+    assert "\n  --m M\n" in out
+    code, out, _ = run(capsys, "basechange", "-h")
+    assert "\n  pair                 bipartition literal, e.g. ([2,1]|[1])\n" in out
+    assert "\n  --target {even,odd}\n" in out

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-WATCHED = {"multiprocessing", "dataclasses", "inspect", "json"}
+WATCHED = {"multiprocessing", "dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
 LIST_MODULES = "print(' '.join(sorted(sys.modules)))"
 RUN_MAIN = "import sys; from octachar.cli import main; code = main(sys.argv[1:]); %s; sys.exit(code)" % LIST_MODULES
 
@@ -96,6 +96,11 @@ def test_guard_sees_a_pool(baseline):
 
 def test_guard_sees_json(baseline):
     assert "json" in _loaded(RUN_MAIN, "table", "--n", "2", "--json") - baseline
+
+
+def test_guard_sees_argparse(baseline):
+    loaded = _loaded("import argparse; " + RUN_MAIN, "chartable", "3") - baseline
+    assert {"argparse", "gettext"} <= loaded & WATCHED
 
 
 def test_guard_sees_a_layer(baseline):
