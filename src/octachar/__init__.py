@@ -38,9 +38,8 @@ _LAYERS = {
         "verify_factorization_even", "verify_factorization_odd", "verify_frobenius",
     ),
     "verify": (
-        "CorrespondenceRow", "SignCensus", "SweepReport", "TableResult",
-        "basechange_image_matches_support", "build_table", "dimension_match",
-        "main_theorem_sweep", "sign_census", "w0_class",
+        "CorrespondenceRow", "SignCensus", "SweepReport", "TableResult", "build_table",
+        "dimension_match", "main_theorem_sweep", "sign_census", "w0_class",
     ),
 }
 _EXPORTS = {name: layer for layer, names in _LAYERS.items() for name in names}  # name -> its layer
@@ -64,11 +63,10 @@ def __dir__():
 
 def clear_caches() -> None:
     """Empty every cache: the oracle's per-n class sizes, the Schur kernel's
-    h/e sequences kept per point, the class columns kept per size, and the
-    Frobenius expansions kept per point.  Characters keep no memo."""
+    h/e sequences kept per point and the class columns kept per size.
+    Characters keep no memo."""
     from . import hyperoctahedral, symfunc
 
     hyperoctahedral._class_sizes.cache_clear()
     symfunc._point.cache_clear()
     symfunc._class_columns.cache_clear()
-    symfunc._frobenius_weights.cache_clear()

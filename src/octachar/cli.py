@@ -29,7 +29,7 @@ SystemExit(2).
 import sys
 from types import SimpleNamespace
 
-from .partitions import PartitionParseError, format_partition, parse_partition, partition_counts
+from .partitions import Partition, PartitionParseError, _TARGET_CORES, format_partition, parse_partition, partition_counts
 from .characters import mn_character, character_table
 
 
@@ -85,9 +85,9 @@ def _point_value(tok: str) -> "Fraction":
 
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     mantissa, _, exponent = tok.lower().partition("e")
-    exponent = "".join(c for c in exponent if c.isdigit()).lstrip("0")
+    exponent = "".join(c for c in exponent if c.isdecimal()).lstrip("0")
     if (
-        sum(c.isdigit() for c in mantissa) > limit
+        sum(c.isdecimal() for c in mantissa) > limit
         or len(exponent) > len(str(limit))
         or int(exponent or 0) > limit
     ):
@@ -139,15 +139,7 @@ def _cmd_verify(args) -> int:
     return code
 
 
-def _table_row_object(row) -> dict:
-    return {
-        "lambda_even": format_partition(row.lambda_even),
-        "lambda_odd": format_partition(row.lambda_odd),
-        "theta_even": row.theta_even,
-        "theta_odd": row.theta_odd,
-        "sign": row.sign,
-        "bn_dim": row.bn_dim,
-    }
+_TABLE_COLUMNS = ("lambda_even", "theta_even", "theta_odd", "lambda_odd", "sign", "bn_dim")  # the TSV order
 
 
 def _cmd_table(args) -> int:
@@ -157,31 +149,14 @@ def _cmd_table(args) -> int:
     if args.json:
         import json
 
-        for row in result.rows:
-            print(json.dumps(_table_row_object(row)))
-        print(
-            json.dumps(
-                {
-                    "excluded_even": [format_partition(p) for p in result.excluded_even],
-                    "excluded_odd": [format_partition(p) for p in result.excluded_odd],
-                }
-            )
-        )
+        for row in result.rows:  # _asdict() is in the JSON key order
+            print(json.dumps({key: str(v) if type(v) is Partition else v for key, v in row._asdict().items()}))
+        excluded = {"excluded_even": result.excluded_even, "excluded_odd": result.excluded_odd}
+        print(json.dumps({key: [format_partition(p) for p in parts] for key, parts in excluded.items()}))
         return 0
-    print("\t".join(["lambda_even", "theta_even", "theta_odd", "lambda_odd", "sign", "bn_dim"]))
+    print("\t".join(_TABLE_COLUMNS))
     for row in result.rows:
-        print(
-            "\t".join(
-                [
-                    format_partition(row.lambda_even),
-                    str(row.theta_even),
-                    str(row.theta_odd),
-                    format_partition(row.lambda_odd),
-                    str(row.sign),
-                    str(row.bn_dim),
-                ]
-            )
-        )
+        print("\t".join(str(getattr(row, column)) for column in _TABLE_COLUMNS))
     print("# excluded S_%d: %s" % (2 * args.n, ",".join(format_partition(p) for p in result.excluded_even)))
     print("# excluded S_%d: %s" % (2 * args.n + 1, ",".join(format_partition(p) for p in result.excluded_odd)))
     return 0
@@ -226,7 +201,7 @@ def _cmd_dims(args) -> int:
 
 
 _REQUIRED = object()  # the default of an option that must be given
-_TARGET = ("even", "odd")
+_TARGET = tuple(_TARGET_CORES)
 
 # name: (handler, help, positionals as (dest, type, help), options as {option: (type, default, help)}).
 # A type is a callable, a tuple of choices, or bool for a flag; a command's flags exclude one another.

@@ -36,6 +36,7 @@ from .partitions import (
     _parse_partition_at,
     _partition,
     _skip_ws,
+    _target_core,
     beta_mask,
 )
 from .characters import _pair_layer, _walk, dimension, mn_character
@@ -120,12 +121,7 @@ def norm(w, target: str | None = None) -> BnClass:
     fixed = sum(1 for v in w if v == 1)
     if any(v % 2 and v > 1 for v in w) or fixed > 1:
         raise ValueError("norm undefined on this class: %s" % format_partition(w))
-    inferred = "odd" if fixed == 1 else "even"
-    if target is None:
-        target = inferred
-    elif target not in ("even", "odd"):
-        raise ValueError("target must be 'even' or 'odd', got %r" % (target,))
-    elif target != inferred:
+    if target is not None and _target_core(target).size != fixed:  # the fixed points are the 2-core
         raise ValueError(
             "norm undefined on this class: %s is not admissible for target %r"
             % (format_partition(w), target)
@@ -137,13 +133,7 @@ def norm(w, target: str | None = None) -> BnClass:
 def basechange(pi: BiPartition, target: str) -> Partition:
     """The partition of 2n (target "even") or 2n+1 ("odd") whose 2-core is empty
     resp. (1) and whose 2-quotient is (p0, p1)."""
-    if target == "even":
-        core = Partition()
-    elif target == "odd":
-        core = Partition((1,))
-    else:
-        raise ValueError("target must be 'even' or 'odd', got %r" % (target,))
-    return from_core_and_quotient(core, pi, 2)
+    return from_core_and_quotient(_target_core(target), pi, 2)
 
 
 def bn_dimension(pi: BiPartition) -> int:

@@ -12,8 +12,8 @@ whole frontier {mask: value} by one hook length.  Quotients, the p-core
 and the shuffle sign are read off the p abacus runners of the mask (runner i
 holds the beads congruent to i mod p), and `_interleave` puts runners back
 together.  Padding length matters for the
-p-quotient and for the shuffle sign, so the convention is fixed once here
-(`_padded_mask`):
+p-quotient and for the shuffle sign, so the convention is fixed once here,
+in `_padded_mask`, which each of them calls on a bitmask:
 
   * p = 2: pad to the smallest length with the parity of |lam|.  This makes
     the 2-quotient of a partition of 2n and of its partner of 2n+1 (same
@@ -21,6 +21,9 @@ p-quotient and for the shuffle sign, so the convention is fixed once here
     what the basechange bijection needs.
   * p >= 3: pad to the smallest multiple of p.  Slot i collects the
     beta-numbers congruent to i mod p; other padding choices permute slots.
+
+So is the even/odd choice of the paper's identity: target "even" (S_2n) or
+"odd" (S_2n+1) names the 2-core () or (1) of its side (`_target_core`).
 """
 
 import itertools
@@ -64,6 +67,17 @@ def _partition(parts) -> Partition:
 def _cycle_type(parts) -> Partition:
     """Validated Partition from the cycle lengths of a class, given in any order."""
     return Partition(parts if type(parts) is Partition else sorted(parts, reverse=True))
+
+
+_TARGET_CORES = {"even": _partition(()), "odd": _partition((1,))}  # target -> 2-core of its side
+
+
+def _target_core(target) -> Partition:
+    """The 2-core of the side a target names: () for "even" (S_2n), (1) for "odd" (S_2n+1)."""
+    try:
+        return _TARGET_CORES[target]
+    except (KeyError, TypeError):
+        raise ValueError("target must be 'even' or 'odd', got %r" % (target,)) from None
 
 
 def partitions_of(n: int):
@@ -221,10 +235,12 @@ def _quotient_mask(core: int, masks) -> int:
     return merged >> ((merged ^ (merged + 1)).bit_length() - 1)
 
 
-def _padded_mask(lam, p: int) -> int:
-    """beta_mask(lam) padded with beads at the bottom to the module's length."""
-    pad = (len(lam) + sum(lam)) % 2 if p == 2 else -len(lam) % p
-    return (beta_mask(lam) << pad) | ((1 << pad) - 1)
+def _padded_mask(mask: int, size: int, p: int) -> int:
+    """Canonical bitmask `mask` of a partition of `size` (one bead per part),
+    padded with beads at the bottom to the module's length."""
+    beads = mask.bit_count()
+    pad = (beads + size) % 2 if p == 2 else -beads % p
+    return (mask << pad) | ((1 << pad) - 1)
 
 
 def p_core(lam, p: int) -> Partition:
@@ -248,7 +264,7 @@ def p_quotient(lam, p: int) -> tuple:
     lam = Partition(lam)
     if p < 2:
         raise ValueError("p must be at least 2")
-    return tuple(map(_from_mask, _runners(_padded_mask(lam, p), p)))
+    return tuple(map(_from_mask, _runners(_padded_mask(beta_mask(lam), lam.size, p), p)))
 
 
 def from_core_and_quotient(core, quotient, p: int) -> Partition:
@@ -262,7 +278,7 @@ def from_core_and_quotient(core, quotient, p: int) -> Partition:
     if p_core(core, p) != core:
         raise ValueError("not a p-core: %s has a hook divisible by %d" % (core, p))
 
-    result = _from_mask(_quotient_mask(_padded_mask(core, p), [beta_mask(q) for q in quotient]))
+    result = _from_mask(_quotient_mask(_padded_mask(beta_mask(core), core.size, p), [beta_mask(q) for q in quotient]))
     assert result.size == core.size + p * sum(q.size for q in quotient)
     return result
 
@@ -288,8 +304,7 @@ def sign_shuffle(lam) -> int:
 def _shuffle_sign(mask: int, size: int) -> int:
     """`sign_shuffle` of the partition of `size` with canonical bitmask `mask`."""
     odd_size = size % 2
-    pad = (mask.bit_count() + size) % 2
-    even, odd = _runners((mask << pad) | pad, 2)
+    even, odd = _runners(_padded_mask(mask, size, 2), 2)
     m = even.bit_count()
     if odd.bit_count() != m + odd_size:
         raise ValueError("sign undefined: 2-core of %s is not %s" % (_from_mask(mask), "(1)" if odd_size else "empty"))
@@ -337,7 +352,7 @@ def _skip_ws(text, i):
 
 def _parse_int(text, i):
     j = i
-    while j < len(text) and text[j].isdigit():
+    while j < len(text) and text[j].isdecimal():  # what int() reads
         j += 1
     if j == i:
         raise PartitionParseError("expected digit at position %d in %r" % (i, text))

@@ -13,12 +13,13 @@ Fraction.  Cost model: O(d (lam_1 + l)) big-int steps per point for h, then
 one determinant of order min(l, lam_1) per value; a long row in few
 variables pays for every h_k below its length (h is kept up to `_H_KEPT`
 entries per point, and past that only the last d values are held).
-The power-sum expansions of all Schur functions of one size are cached per
-point, over one denominator, from the character columns of all classes of
-that size, built in one walk (`characters.mn_columns`) once per size.
-No symbolic polynomial ring is involved: the factorization identities are
-checked by evaluating both sides at rational points, which decides polynomial
-identities exactly when swept over seeded random points.  Both Littlewood
+The Frobenius sweep builds the power-sum expansions of all Schur functions of
+one size once per point, over one denominator, from the character columns of
+all classes of that size, built in one walk (`characters.mn_columns`) once per
+size.  No symbolic polynomial ring is involved: both sides of an identity are
+evaluated exactly at seeded random rational points.  A mismatch refutes the
+identity; agreement is evidence, not a decision (Schwartz-Zippel bounds the
+chance that a false identity holds at a random point).  Both Littlewood
 factorizations take the 2-core, the 2-quotient and the shuffle sign from
 `partitions`, at its padding convention.  `det` stays as the independent
 rational route that the tests compare the kernel against.
@@ -178,8 +179,7 @@ def _class_columns(size: int) -> tuple:
     return tuple((rho, class_size(rho), column) for rho, column in mn_columns(partitions_of(size)).items())
 
 
-@lru_cache(maxsize=64)
-def _frobenius_weights(size: int, values: tuple) -> tuple:
+def _frobenius_weights(size: int, values) -> tuple:
     """Power-sum expansions of the Schur functions of `size` at the point, as
     ({beta_mask(mu): sum over rho of chi_mu(rho) w_rho}, denominator), read
     from the columns of every class (an absent mu has the value 0).  Here
@@ -204,7 +204,7 @@ def verify_frobenius(lam, values, *, weights=None) -> bool:
     sum over classes rho of chi_lam(rho)/|Z(rho)| * p_rho(point).
 
     A sweep over many lam at one point of Fractions passes `weights` =
-    _frobenius_weights(|lam|, tuple(point)), built once.
+    _frobenius_weights(|lam|, point), built once.
     """
     lam = Partition(lam)
     if weights is None:
@@ -296,7 +296,7 @@ def frobenius_sweep(max_size: int, seed: int, points_per_size: int = 5) -> int:
     checked = 0
     for m in range(1, max_size + 1):
         points = [random_rationals(m, rng) for _ in range(points_per_size)]
-        weights = [_frobenius_weights(m, tuple(point)) for point in points]
+        weights = [_frobenius_weights(m, point) for point in points]
         for lam in partitions_of(m):
             for point, point_weights in zip(points, weights):
                 if not verify_frobenius(lam, point, weights=point_weights):

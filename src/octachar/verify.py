@@ -14,8 +14,8 @@ dataclasses, for the same reason.
 from functools import partial
 from typing import NamedTuple
 
-from .partitions import Partition, _from_mask, _padded_mask, _quotient_mask, _shuffle_sign, beta_mask
-from .partitions import partition_counts, partitions_of, sign_shuffle
+from .partitions import Partition, _TARGET_CORES, _from_mask, _padded_mask, _quotient_mask, _shuffle_sign
+from .partitions import _target_core, beta_mask, partition_counts, partitions_of, sign_shuffle
 from .characters import even_cycle_classes, mn_character, mn_column, mn_columns
 from .hyperoctahedral import (
     bipartitions_of,
@@ -121,10 +121,8 @@ def dimension_match(n: int, target: str) -> bool:
     involution| over S_2n (or S_2n+1) agree as multisets."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if target not in ("even", "odd"):
-        raise ValueError("target must be 'even' or 'odd', got %r" % (target,))
+    thetas = sorted(abs(v) for v in mn_column(w0_class(2 * n + _target_core(target).size)).values())
     dims = sorted(bn_dimension(pair) for pair in bipartitions_of(n))
-    thetas = sorted(abs(v) for v in mn_column(w0_class(2 * n if target == "even" else 2 * n + 1)).values())
     return dims == thetas
 
 
@@ -166,11 +164,11 @@ def _sweep_n(n: int, oracle_max: int) -> SweepReport:
     report = SweepReport(n_max=n)
     pairs = [(pair, (beta_mask(pair.p0), beta_mask(pair.p1))) for pair in bipartitions_of(n)]
     b_columns = bn_columns([norm(w, "even") for w in even_cycle_classes(2 * n)])
-    for target, core in (("even", ()), ("odd", (1,))):
-        m = 2 * n + len(core)
+    for target, core in _TARGET_CORES.items():
+        m = 2 * n + core.size
         s_columns = mn_columns(even_cycle_classes(m))
         columns = [(w, h, s_columns[w], b_columns[h]) for w in s_columns for h in [norm(w, target)]]
-        core_mask = _padded_mask(core, 2)
+        core_mask = _padded_mask(beta_mask(core), core.size, 2)
         seen = {}
         for pair, key in pairs:
             mask = _quotient_mask(core_mask, key)
@@ -206,9 +204,3 @@ def main_theorem_sweep(n_max: int, oracle_max: int = 4, jobs: int = 1) -> SweepR
         report.failures.extend(part.failures)
     return report
 
-
-def basechange_image_matches_support(n: int, target: str) -> bool:
-    """True when the basechange image equals the set of partitions whose
-    character at the involution class is nonzero."""
-    image = {beta_mask(basechange(pair, target)) for pair in bipartitions_of(n)}
-    return image == set(mn_column(w0_class(2 * n if target == "even" else 2 * n + 1)))

@@ -26,7 +26,7 @@ def _library_caches():
 
 def test_caches_are_found():
     names = {name for name, _ in _library_caches()}
-    assert {"symfunc._frobenius_weights", "symfunc._class_columns", "symfunc._point"} <= names
+    assert {"symfunc._class_columns", "symfunc._point"} <= names
     assert any(name.startswith("hyperoctahedral.") for name in names)
 
 

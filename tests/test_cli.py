@@ -91,9 +91,10 @@ class TestSchur:
         assert out.strip() == "3/2"
 
     def test_bad_point(self, capsys):
-        code, _, err = run(capsys, "schur", "[1]", "--at", "1,zebra")
-        assert code == 2
-        assert "bad point value 'zebra'" in err
+        for token in ("zebra", "1e²"):  # "²" is a digit to str.isdigit, not to int()
+            code, _, err = run(capsys, "schur", "[1]", "--at", "1," + token)
+            assert code == 2
+            assert "bad point value %r" % token in err
 
     def test_long_bad_point_is_not_echoed(self, capsys):
         code, _, err = run(capsys, "schur", "[1]", "--at", "1," + "x" * 5000)
@@ -143,7 +144,34 @@ class TestVerifyCommands:
         assert "branches" in out and "PASS" in out
 
 
+TABLE_N2_TSV = (
+    "lambda_even\ttheta_even\ttheta_odd\tlambda_odd\tsign\tbn_dim\n"
+    "[1^4]\t1\t1\t[1^5]\t1\t1\n"
+    "[2,1^2]\t-1\t1\t[3,2]\t-1\t1\n"
+    "[2^2]\t2\t-2\t[3,1^2]\t1\t2\n"
+    "[3,1]\t-1\t1\t[2^2,1]\t-1\t1\n"
+    "[4]\t1\t1\t[5]\t1\t1\n"
+    "# excluded S_4: \n"
+    "# excluded S_5: [2,1^3],[4,1]\n"
+)
+TABLE_N2_JSON = (
+    '{"lambda_even": "[1^4]", "lambda_odd": "[1^5]", "theta_even": 1, "theta_odd": 1, "sign": 1, "bn_dim": 1}\n'
+    '{"lambda_even": "[2,1^2]", "lambda_odd": "[3,2]", "theta_even": -1, "theta_odd": 1, "sign": -1, "bn_dim": 1}\n'
+    '{"lambda_even": "[2^2]", "lambda_odd": "[3,1^2]", "theta_even": 2, "theta_odd": -2, "sign": 1, "bn_dim": 2}\n'
+    '{"lambda_even": "[3,1]", "lambda_odd": "[2^2,1]", "theta_even": -1, "theta_odd": 1, "sign": -1, "bn_dim": 1}\n'
+    '{"lambda_even": "[4]", "lambda_odd": "[5]", "theta_even": 1, "theta_odd": 1, "sign": 1, "bn_dim": 1}\n'
+    '{"excluded_even": [], "excluded_odd": ["[2,1^3]", "[4,1]"]}\n'
+)
+
+
 class TestTable:
+    @pytest.mark.parametrize(
+        "flags, expected", [((), TABLE_N2_TSV), (("--tsv",), TABLE_N2_TSV), (("--json",), TABLE_N2_JSON)]
+    )
+    def test_n2_output_is_pinned(self, capsys, flags, expected):
+        # the whole output, so the JSON key order and the TSV column order are pinned too
+        assert run(capsys, "table", "--n", "2", *flags) == (0, expected, "")
+
     def test_plain_contains_exclusions(self, capsys):
         code, out, _ = run(capsys, "table", "--n", "4")
         assert code == 0

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("partitions", "characters", "hyperoctahedral", "symfunc", "verify")
 EXPORTS = {
     "BiPartition", "BnClass", "CorrespondenceRow", "Partition", "PartitionParseError", "SignCensus",
-    "SweepReport", "TableResult", "basechange", "basechange_image_matches_support", "beta_mask",
+    "SweepReport", "TableResult", "basechange", "beta_mask",
     "beta_set", "bipartition", "bipartitions_of", "bn_character", "bn_character_bruteforce",
     "bn_class", "bn_class_of", "bn_column", "bn_dimension", "build_table", "centralizer_order",
     "character_table", "class_size", "clear_caches", "det", "dimension", "dimension_match",

@@ -7,7 +7,9 @@ from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
-from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, p_core, p_quotient
+from octachar.partitions import (
+    Partition, PartitionParseError, beta_mask, parse_partition, partitions_of, p_core, p_quotient,
+)
 from octachar.characters import _pair_layer, _walk, even_cycle_classes, mn_character, product_character
 from octachar.hyperoctahedral import (
     BiPartition,
@@ -355,9 +357,9 @@ class TestBipartitionText:
         assert parse_bipartition("([2,1]|[1])") == bipartition([2, 1], [1])
         assert parse_bipartition("( [] | [3^2] )") == bipartition([], [3, 3])
 
-    @pytest.mark.parametrize("bad", ["", "([2,1][1])", "([2,1]|[1]", "[2,1]|[1]", "([2,1]|[1]) x"])
+    @pytest.mark.parametrize("bad", ["", "([2,1][1])", "([2,1]|[1]", "[2,1]|[1]", "([2,1]|[1]) x", "([1]|[1^²])"])
     def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(PartitionParseError):
             parse_bipartition(bad)
 
     def test_roundtrip(self):

@@ -443,15 +443,20 @@ class TestTextFormat:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "[", "3,2", "[0]", "[2,3]", "[1^0]", "[-1]", "[2,]", "[2 3]", "[2,1] junk", "[1^]"],
+        ["", "[", "3,2", "[0]", "[2,3]", "[1^0]", "[-1]", "[2,]", "[2 3]", "[2,1] junk", "[1^]", "[²]", "[1^²]"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(PartitionParseError):
             parse_partition(bad)
 
     def test_parse_error_has_position(self):
-        with pytest.raises(PartitionParseError, match="position"):
-            parse_partition("[2,3]")
+        # "²" is a digit to str.isdigit but not to int(): it must end the number, not reach int()
+        for bad in ("[2,3]", "[²]", "[1^²]"):
+            with pytest.raises(PartitionParseError, match="position"):
+                parse_partition(bad)
+
+    def test_parse_reads_the_digits_int_reads(self):
+        assert parse_partition("[٣,１^2]") == Partition([3, 1, 1])  # Arabic-Indic three, fullwidth one
 
     def test_part_count_is_bounded_before_expansion(self):
         limit = MAX_LITERAL_PARTS

@@ -274,24 +274,16 @@ class TestFrobenius:
                 )
                 assert F(expansion.get(beta_mask(mu), 0), denominator) == expected
 
-    def test_cold_and_warm_cache_agree(self):
+    def test_fresh_and_passed_weights_agree(self):
+        # verify_frobenius builds the weights itself unless a sweep passes them in
         point = random_rationals(4, random.Random(23), max_height=50)
-        lams = [lam for n in range(1, 8) for lam in partitions_of(n) if len(lam) <= 4]
-        cold = []
-        for lam in lams:
-            octachar.clear_caches()
-            cold.append(verify_frobenius(lam, point))
-        octachar.clear_caches()
-        warm = [verify_frobenius(lam, point) for lam in lams]
-        info = _frobenius_weights.cache_info()
-        assert (info.misses, info.hits) == (7, len(lams) - 7)  # one miss per size
-        assert cold == warm == [True] * len(lams)
-
-    def test_clear_caches_empties_the_weights(self):
-        verify_frobenius(Partition([2, 1]), [F(1), F(2), F(3)])
-        assert _frobenius_weights.cache_info().currsize > 0
-        octachar.clear_caches()
-        assert _frobenius_weights.cache_info().currsize == 0
+        other = random_rationals(4, random.Random(24), max_height=50)
+        for n in range(1, 8):
+            weights, wrong = _frobenius_weights(n, point), _frobenius_weights(n, other)
+            lams = [lam for lam in partitions_of(n) if len(lam) <= 4]
+            assert [verify_frobenius(lam, point) for lam in lams] == [True] * len(lams)
+            assert [verify_frobenius(lam, point, weights=weights) for lam in lams] == [True] * len(lams)
+            assert not all(verify_frobenius(lam, point, weights=wrong) for lam in lams)  # the passed ones are read
 
 
 class TestSchurCaches:

@@ -6,7 +6,6 @@ from octachar.partitions import Partition, beta_mask, parse_partition, partition
 from octachar.characters import even_cycle_classes, mn_character
 from octachar.hyperoctahedral import basechange, bipartition, bipartitions_of, bn_character, norm
 from octachar.verify import (
-    basechange_image_matches_support,
     build_table,
     dimension_match,
     main_theorem_sweep,
@@ -60,14 +59,16 @@ class TestBuildTable:
             assert abs(row.theta_odd) == row.bn_dim
             assert row.theta_even == row.sign * row.bn_dim
 
-    def test_exclusions_partition_everything(self):
-        result = build_table(3)
-        table_evens = {r.lambda_even for r in result.rows}
-        assert table_evens | set(result.excluded_even) == set(partitions_of(6))
-        assert not table_evens & set(result.excluded_even)
-        table_odds = {r.lambda_odd for r in result.rows}
-        assert table_odds | set(result.excluded_odd) == set(partitions_of(7))
-        assert not table_odds & set(result.excluded_odd)
+    @pytest.mark.parametrize("target", ["even", "odd"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exclusions_partition_everything(self, n, target):
+        # the excluded partitions are those off the involution column's support,
+        # so this says the basechange image is exactly that support
+        result = build_table(n)
+        image = {getattr(row, "lambda_" + target) for row in result.rows}
+        excluded = set(getattr(result, "excluded_" + target))
+        assert image | excluded == set(partitions_of(2 * n + (target == "odd")))
+        assert not image & excluded
 
 
 class TestCensus:
@@ -124,13 +125,6 @@ class TestMainTheoremSweep:
             parallel.oracle_checked,
             parallel.failures,
         )
-
-
-class TestImageCharacterization:
-    def test_up_to_six(self):
-        for n in range(1, 7):
-            assert basechange_image_matches_support(n, "even")
-            assert basechange_image_matches_support(n, "odd")
 
 
 class TestSweepFailures:
