@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 # Each layer, in import order, with the names it exports.
 _LAYERS = {
     "partitions": (
-        "Partition", "PartitionParseError", "beta_mask", "beta_set", "format_partition",
-        "from_core_and_quotient", "hook_lengths", "p_core", "p_quotient", "parse_partition",
-        "partition_counts", "partitions_of", "sign_shuffle",
+        "Partition", "PartitionParseError", "beta_mask", "format_partition", "from_core_and_quotient",
+        "hook_lengths", "p_core", "p_quotient", "parse_partition", "partition_counts", "partitions_of",
+        "sign_shuffle",
     ),
     "characters": (
         "centralizer_order", "character_table", "class_size", "dimension", "even_cycle_classes",
@@ -30,8 +30,8 @@ _LAYERS = {
     ),
     "hyperoctahedral": (
         "BiPartition", "BnClass", "basechange", "bipartition", "bipartitions_of", "bn_character",
-        "bn_character_bruteforce", "bn_class", "bn_column", "bn_class_of", "bn_dimension",
-        "format_bipartition", "norm", "parse_bipartition",
+        "bn_character_bruteforce", "bn_class", "bn_column", "bn_dimension", "format_bipartition", "norm",
+        "parse_bipartition",
     ),
     "symfunc": (
         "det", "mirrored_point", "mirrored_point_plus", "random_rationals", "schur_eval",

@@ -21,9 +21,8 @@ as `--opt value` or `--opt=value`, where a unique prefix of an option (`--max-s`
 names it.  An option's value is the next token as it is, so `--max -3` reads -3;
 after `--` every token is a positional.  `-h` or `--help` prints the usage to
 stdout and raises SystemExit(0); a usage error (unknown command or option, a
-missing or extra argument, a bad int or choice, `--jobs 0`, `--json` with
-`--tsv`) prints the usage and `octachar: error: ...` to stderr and raises
-SystemExit(2).
+missing or extra argument, a bad int or choice, `--jobs 0`) prints the usage
+and `octachar: error: ...` to stderr and raises SystemExit(2).
 """
 
 import sys
@@ -204,7 +203,7 @@ _REQUIRED = object()  # the default of an option that must be given
 _TARGET = tuple(_TARGET_CORES)
 
 # name: (handler, help, positionals as (dest, type, help), options as {option: (type, default, help)}).
-# A type is a callable, a tuple of choices, or bool for a flag; a command's flags exclude one another.
+# A type is a callable, a tuple of choices, or bool for a flag.
 _COMMANDS = {
     "char": (_cmd_char, "character value of an irreducible at a class",
              (("lam", str, "partition literal, e.g. [3,2,1^4]"), ("rho", str, "cycle type literal, e.g. [2^4]")), {}),
@@ -219,7 +218,7 @@ _COMMANDS = {
                (("what", ("frobenius", "even-fact", "odd-fact"), ""),),
                {"--max-size": (int, None, ""), "--seed": (int, 0, "")}),
     "table": (_cmd_table, "the 2n <-> 2n+1 correspondence table",
-              (), {"--n": (int, _REQUIRED, ""), "--json": (bool, False, ""), "--tsv": (bool, False, "")}),
+              (), {"--n": (int, _REQUIRED, ""), "--json": (bool, False, "")}),
     "census": (_cmd_census, "signs of characters at the involution class", (),
                {"--m": (int, _REQUIRED, ""), "--jobs": (_jobs_value, 1, "accepted; the census runs in one process")}),
     "sweep": (_cmd_sweep, "exhaustive main character identity check",
@@ -320,9 +319,6 @@ def _read(tokens: list, name) -> dict:
                 if value is None:
                     _fail(name, "argument %s: expected one argument" % option)
             values[option] = True if kind is bool else _convert(name, option, kind, value)
-    flags = [argument for argument, kind, _, _ in arguments if kind is bool and argument in values]
-    if len(flags) > 1:
-        _fail(name, "argument %s: not allowed with argument %s" % (flags[1], flags[0]))
     missing = [argument for argument, _, default, _ in arguments if default is _REQUIRED and argument not in values]
     if missing:
         _fail(name, "the following arguments are required: %s" % ", ".join(missing))

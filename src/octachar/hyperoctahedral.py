@@ -13,17 +13,14 @@ bitmasks of p0 and p1, with no memo: one value top-down (`bn_character`), or
 the columns over (p0, p1) of a family of classes bottom-up in one walk
 (`bn_columns`); a class's cycle lengths may come in any order.  An independent
 oracle induces the character from B_a x B_b (`bn_character_bruteforce`,
-n <= 6), weighting the class pairs of B_a and B_b by class sizes counted over
-all 2^k k! elements of B_k, once per k.
-
-An element is stored as a tuple g of length n with g[i] = image of i+1 in
-{+-1..+-n}; the image of -(i+1) is forced to -g[i].
+n <= 6), weighting the class pairs of B_a and B_b by their class sizes, which
+come from centralizer orders: the class (alpha|beta) of B_n has centralizer
+order 2^(l(alpha)+l(beta)) z_alpha z_beta (Geck-Pfeiffer 2000), the type-B
+analogue of z_rho in `characters.class_size`.
 """
 
-import itertools
-from collections import Counter
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 from .partitions import (
@@ -39,7 +36,7 @@ from .partitions import (
     _target_core,
     beta_mask,
 )
-from .characters import _pair_layer, _walk, dimension, mn_character
+from .characters import _pair_layer, _walk, centralizer_order, dimension, mn_character
 
 
 class BiPartition(NamedTuple):
@@ -176,41 +173,15 @@ def _signed_cycles(c: BnClass) -> list:
     return sorted(tuple(c.positive) + tuple(-v for v in c.negative), key=abs, reverse=True)
 
 
-# -- explicit signed-permutation machinery (small-n oracle) ------------------
-
-
-def _bn_elements(n: int) -> tuple:
-    return tuple(
-        tuple(s * p for s, p in zip(signs, perm))
-        for perm in itertools.permutations(range(1, n + 1))
-        for signs in itertools.product((1, -1), repeat=n)
-    )
-
-
 @lru_cache(maxsize=None)
-def _class_sizes(n: int) -> Counter:
-    """{class: size} from one pass over the 2^n n! elements of B_n."""
-    return Counter(map(bn_class_of, _bn_elements(n)))
-
-
-def bn_class_of(g) -> BnClass:
-    """Classify a signed permutation by its positive and negative cycle lengths."""
-    n = len(g)
-    seen = [False] * n
-    pos, neg = [], []
-    for i in range(n):
-        if seen[i]:
-            continue
-        j, length, sign = i, 0, 1
-        while not seen[j]:
-            seen[j] = True
-            image = g[j]
-            if image < 0:
-                sign = -sign
-            j = abs(image) - 1
-            length += 1
-        (pos if sign == 1 else neg).append(length)
-    return BnClass(_partition(sorted(pos, reverse=True)), _partition(sorted(neg, reverse=True)))
+def _class_sizes(n: int) -> dict:
+    """{class: size} over the classes (alpha|beta) of B_n: 2^n n! over the
+    centralizer order 2^(l(alpha)+l(beta)) z_alpha z_beta."""
+    order = 2**n * factorial(n)
+    return {
+        BnClass(a, b): order // (2 ** (len(a) + len(b)) * centralizer_order(a) * centralizer_order(b))
+        for a, b in bipartitions_of(n)
+    }
 
 
 def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
@@ -222,7 +193,7 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
     type.  Ind_A^G psi(c) = (|Z(c)|/|A|) sum over h in A meeting c of psi(h),
     and |B_n|/|A| = C(n, a), so the value is C(n, a) / |c| times the sum over
     the class pairs (c0, c1) of B_a, B_b whose positive and negative cycles
-    unite to c, weighted by the class sizes counted in `_class_sizes`.
+    unite to c, weighted by their class sizes (`_class_sizes`).
     """
     p0, p1 = Partition(pi[0]), Partition(pi[1])
     c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))

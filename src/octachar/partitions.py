@@ -106,15 +106,6 @@ def partition_counts(n: int) -> list:
     return counts
 
 
-def beta_set(lam, length: int) -> tuple:
-    """Beta-set of lam padded to `length` parts: {lam_i + length - i}, decreasing."""
-    lam = tuple(lam)
-    if length < len(lam):
-        raise ValueError("insufficient beta length: %d < %d parts" % (length, len(lam)))
-    padded = lam + (0,) * (length - len(lam))
-    return tuple(padded[i] + (length - 1 - i) for i in range(length))
-
-
 def beta_mask(lam) -> int:
     """Canonical beta-set of lam as a bitmask (a Maya diagram): bit b is set when
     b = lam_i + r - i for one of the r parts, so bit 0 is clear and () is 0."""

@@ -287,7 +287,10 @@ class SweepFailure(Exception):
     """Carries the first counterexample of a verification sweep."""
 
 
-def frobenius_sweep(max_size: int, seed: int, points_per_size: int = 5) -> int:
+_POINTS_PER_SIZE = 5  # seeded points the Frobenius sweep checks each size at
+
+
+def frobenius_sweep(max_size: int, seed: int) -> int:
     """Check the power-sum expansion for every lam with |lam| <= max_size at
     seeded random points; returns the number of identities checked."""
     if max_size < 1:
@@ -295,7 +298,7 @@ def frobenius_sweep(max_size: int, seed: int, points_per_size: int = 5) -> int:
     rng = random.Random(seed)
     checked = 0
     for m in range(1, max_size + 1):
-        points = [random_rationals(m, rng) for _ in range(points_per_size)]
+        points = [random_rationals(m, rng) for _ in range(_POINTS_PER_SIZE)]
         weights = [_frobenius_weights(m, point) for point in points]
         for lam in partitions_of(m):
             for point, point_weights in zip(points, weights):

@@ -3,8 +3,9 @@
 Nothing here shares algorithms with the library paths it checks: cores are
 recomputed by literal diagram surgery, Schur values by semistandard-tableau
 enumeration, symmetric-group characters by Young symmetrizer left ideals,
-determinants by cofactor expansion, and induced characters by summation over
-the full group.  Power sums and the closed-form Vandermonde, which no library
+determinants by cofactor expansion, induced characters by summation over
+the full group, and B_n class sizes by classifying all 2^n n! signed
+permutations (the library takes them from centralizer orders).  Power sums and the closed-form Vandermonde, which no library
 route needs, are computed directly.  Rim hooks have two reference routes:
 cell-by-cell diagram surgery, and bead moves on tuple beta-sets (the library
 moves beads on int bitmasks).  Characters of S_m and B_n have a reference route in the
@@ -12,7 +13,7 @@ remove-hooks recursion on tuple beta-sets (the library goes by layers of
 bitmasks, and adds hooks for whole columns).
 
 A few small routes that no library path calls live here too, so the library
-does not carry them: decoding a tuple beta-set, the doubled and embedded
+does not carry them: encoding and decoding a tuple beta-set, the doubled and embedded
 classes, the sign character, the odd-part sign that the shuffle sign equals,
 and `is_p_core`, which asks the library's `p_core` (the tests check it
 against the hook lengths).
@@ -23,11 +24,21 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from octachar.partitions import Partition, beta_set, p_core, partitions_of
+from octachar.partitions import Partition, p_core, partitions_of
 from octachar.characters import mn_character
+from octachar.hyperoctahedral import BnClass
 
 
 # -- small routes that only the tests use -----------------------------------
+
+
+def beta_set(lam, length: int) -> tuple:
+    """Beta-set of lam padded to `length` parts: {lam_i + length - i}, decreasing."""
+    lam = tuple(lam)
+    if length < len(lam):
+        raise ValueError("insufficient beta length: %d < %d parts" % (length, len(lam)))
+    padded = lam + (0,) * (length - len(lam))
+    return tuple(padded[i] + (length - 1 - i) for i in range(length))
 
 
 def partition_from_beta(beta):
@@ -252,6 +263,38 @@ def rim_hook_cores(lam, p):
 
 
 # -- signed permutations of {+-1..+-n} as image tuples -----------------------
+#
+# An element is a tuple g of length n with g[i] = image of i+1 in {+-1..+-n};
+# the image of -(i+1) is forced to -g[i].
+
+
+def bn_elements(n):
+    """All 2^n n! signed permutations of {+-1..+-n}."""
+    return tuple(
+        tuple(s * p for s, p in zip(signs, perm))
+        for perm in itertools.permutations(range(1, n + 1))
+        for signs in itertools.product((1, -1), repeat=n)
+    )
+
+
+def bn_class_of(g):
+    """Classify a signed permutation by its positive and negative cycle lengths."""
+    n = len(g)
+    seen = [False] * n
+    pos, neg = [], []
+    for i in range(n):
+        if seen[i]:
+            continue
+        j, length, sign = i, 0, 1
+        while not seen[j]:
+            seen[j] = True
+            image = g[j]
+            if image < 0:
+                sign = -sign
+            j = abs(image) - 1
+            length += 1
+        (pos if sign == 1 else neg).append(length)
+    return BnClass(Partition(sorted(pos, reverse=True)), Partition(sorted(neg, reverse=True)))
 
 
 def signed_compose(g, h):

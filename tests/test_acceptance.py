@@ -197,7 +197,7 @@ def test_criterion_6_sign_agreement():
 
 def test_criterion_7_schur_identities():
     start = time.monotonic()
-    frob = frobenius_sweep(6, seed=0, points_per_size=5)
+    frob = frobenius_sweep(6, seed=0)
     even = factorization_even_sweep(5, seed=0)
     odd, branch_a, branch_b = factorization_odd_sweep(4, seed=0)
     assert frob > 0 and even > 0 and odd > 0

@@ -20,9 +20,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("partitions", "characters", "hyperoctahedral", "symfunc", "verify")
 EXPORTS = {
     "BiPartition", "BnClass", "CorrespondenceRow", "Partition", "PartitionParseError", "SignCensus",
-    "SweepReport", "TableResult", "basechange", "beta_mask",
-    "beta_set", "bipartition", "bipartitions_of", "bn_character", "bn_character_bruteforce",
-    "bn_class", "bn_class_of", "bn_column", "bn_dimension", "build_table", "centralizer_order",
+    "SweepReport", "TableResult", "basechange", "beta_mask", "bipartition", "bipartitions_of",
+    "bn_character", "bn_character_bruteforce", "bn_class", "bn_column", "bn_dimension", "build_table",
+    "centralizer_order",
     "character_table", "class_size", "clear_caches", "det", "dimension", "dimension_match",
     "even_cycle_classes", "format_bipartition", "format_partition", "from_core_and_quotient",
     "hook_lengths", "main_theorem_sweep", "mirrored_point", "mirrored_point_plus", "mn_character",
@@ -31,7 +31,10 @@ EXPORTS = {
     "sign_census", "sign_shuffle", "verify_factorization_even", "verify_factorization_odd",
     "verify_frobenius", "w0_class", *LAYERS,
 }
-MOVED_TO_ORACLES = ("double_class", "embed_class", "is_p_core", "partition_from_beta", "sign_odd_parts", "sign_of_class")
+MOVED_TO_ORACLES = (
+    "beta_set", "bn_class_of", "double_class", "embed_class", "is_p_core", "partition_from_beta", "sign_odd_parts",
+    "sign_of_class",
+)
 
 
 def _run(code: str) -> str:

@@ -19,19 +19,25 @@ from octachar.hyperoctahedral import (
     bn_character,
     bn_character_bruteforce,
     bn_class,
-    bn_class_of,
     bn_column,
     bn_columns,
     bn_dimension,
     format_bipartition,
     norm,
     parse_bipartition,
-    _bn_elements,
     _class_sizes,
     _signed_cycles,
 )
 
-from oracles import bn_by_recursion, embed_class, signed_class_representative, signed_compose, signed_inverse
+from oracles import (
+    bn_by_recursion,
+    bn_class_of,
+    bn_elements,
+    embed_class,
+    signed_class_representative,
+    signed_compose,
+    signed_inverse,
+)
 
 
 def P(text):
@@ -48,7 +54,7 @@ class TestEmbedding:
         # the embedded cycle type of a class is the S_2n cycle type of any
         # representative acting on {+-1..+-n}
         for n in (1, 2, 3):
-            for g in _bn_elements(n):
+            for g in bn_elements(n):
                 c = bn_class_of(g)
                 points = list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
                 seen = set()
@@ -161,7 +167,7 @@ class TestDimensions:
 
 class TestSignedPermutations:
     def test_compose_inverse(self):
-        for g in _bn_elements(3):
+        for g in bn_elements(3):
             assert signed_compose(g, signed_inverse(g)) == (1, 2, 3)
             assert signed_compose(signed_inverse(g), g) == (1, 2, 3)
 
@@ -172,9 +178,9 @@ class TestSignedPermutations:
                 assert bn_class_of(signed_class_representative(c)) == c
 
     def test_class_invariance_under_conjugation(self):
-        for g in _bn_elements(3):
+        for g in bn_elements(3):
             c = bn_class_of(g)
-            for t in _bn_elements(3):
+            for t in bn_elements(3):
                 assert bn_class_of(signed_compose(signed_inverse(t), signed_compose(g, t))) == c
 
 
@@ -200,7 +206,7 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("n", [2, 3])
     def test_full_table_orthogonality(self, n):
         # class sizes by explicit enumeration; first orthogonality over the group
-        sizes = Counter(bn_class_of(g) for g in _bn_elements(n))
+        sizes = Counter(map(bn_class_of, bn_elements(n)))
         order = sum(sizes.values())
         pairs = list(bipartitions_of(n))
         table = {
@@ -213,6 +219,11 @@ class TestBruteForceOracle:
                 assert inner == (order if a == b else 0)
 
     @pytest.mark.parametrize("n", range(7))
+    def test_class_sizes_match_enumeration(self, n):
+        # every class, those with negative cycles too, which the sweep never reads
+        assert _class_sizes(n) == Counter(map(bn_class_of, bn_elements(n)))
+
+    @pytest.mark.parametrize("n", range(13))
     def test_class_sizes_count_the_group(self, n):
         sizes = _class_sizes(n)
         order = 2**n * factorial(n)

@@ -6,7 +6,6 @@ from octachar.partitions import (
     Partition,
     PartitionParseError,
     beta_mask,
-    beta_set,
     format_partition,
     from_core_and_quotient,
     hook_layer,
@@ -21,6 +20,7 @@ from octachar.partitions import (
 )
 
 from oracles import (
+    beta_set,
     is_p_core,
     mask_beads,
     partition_from_beta,

@@ -55,7 +55,9 @@ def test_sweep_reports_do_not_share_failures():
 
 
 def test_sweep_report_survives_pickle():
-    report = SweepReport(n_max=4, checked=10, oracle_checked=3, failures=["identity fails: ..."])
+    report = SweepReport(n_max=4)
+    report.checked, report.oracle_checked = 10, 3
+    report.failures.append("identity fails: ...")
     copy = pickle.loads(pickle.dumps(report))
     assert vars(copy) == vars(report)
     assert not copy.ok

@@ -258,7 +258,7 @@ class TestFrobenius:
         assert verify_frobenius(Partition([2, 1]), [F(1), F(2), F(3)])
 
     def test_sweep(self):
-        assert frobenius_sweep(5, seed=0, points_per_size=3) > 0
+        assert frobenius_sweep(5, seed=0) == 5 * (1 + 2 + 3 + 5 + 7)  # five points at each size, p(1..5) shapes
 
     def test_weights_are_power_sums_over_centralizers(self):
         # the expansion at mu is sum over rho of chi_mu(rho) p_rho / |Z(rho)|

@@ -1,10 +1,10 @@
 import pytest
 
-from octachar import verify
+from octachar import hyperoctahedral, verify
 from octachar.cli import main
 from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, sign_shuffle
 from octachar.characters import even_cycle_classes, mn_character
-from octachar.hyperoctahedral import basechange, bipartition, bipartitions_of, bn_character, norm
+from octachar.hyperoctahedral import basechange, bipartition, bipartitions_of, bn_character, bn_class, norm
 from octachar.verify import (
     build_table,
     dimension_match,
@@ -128,9 +128,10 @@ class TestMainTheoremSweep:
 
 
 class TestSweepFailures:
-    """A wrong sign, a wrong column value and a colliding basechange each show up
-    as failure records that name the pair and the class (or the partition two
-    pairs share), and make `octachar sweep` exit 1 with FAIL lines and no PASS."""
+    """A wrong sign, a wrong column value, a colliding basechange and a wrong
+    class size in the oracle each show up as failure records that name the pair
+    and the class (or the partition two pairs share), and make `octachar sweep`
+    exit 1 with FAIL lines and no PASS."""
 
     PAIR = bipartition([], [1, 1, 1, 1])  # basechange [2,1^6]; chi_[1^4] vanishes nowhere
 
@@ -153,6 +154,12 @@ class TestSweepFailures:
         # ([]|[1]) is sent to the basechange of ([1]|[]) at both targets
         real, mine, other = verify._quotient_mask, (0, beta_mask(P("[1]"))), (beta_mask(P("[1]")), 0)
         monkeypatch.setattr(verify, "_quotient_mask", lambda core, masks: real(core, other if masks == mine else masks))
+
+    def wrong_class_size(self, monkeypatch):
+        # tripling the size of ([1^2]|[]) in B_2 leaves induced sums the oracle cannot divide
+        real, c = hyperoctahedral._class_sizes, bn_class([1, 1], [])
+        sizes = {**real(2), c: 3 * real(2)[c]}
+        monkeypatch.setattr(hyperoctahedral, "_class_sizes", lambda n: sizes if n == 2 else real(n))
 
     def test_wrong_sign_names_pair_and_every_class(self, monkeypatch):
         self.wrong_sign(monkeypatch)
@@ -181,10 +188,19 @@ class TestSweepFailures:
             for target in ("even", "odd")
         ]
 
-    @pytest.mark.parametrize("fault", ["wrong_sign", "wrong_column_value", "colliding_basechange"])
+    def test_wrong_class_size_is_an_oracle_mismatch(self, monkeypatch):
+        self.wrong_class_size(monkeypatch)
+        with pytest.raises(ArithmeticError, match="not divisible by the class size"):
+            hyperoctahedral.bn_character_bruteforce(bipartition([1], [1]), bn_class([1, 1], []))
+        report = main_theorem_sweep(4)
+        assert "oracle mismatch: pair=([1]|[1]) class=([1^2]|[])" in report.failures
+        assert all(failure.startswith("oracle mismatch: ") for failure in report.failures)
+
+    @pytest.mark.parametrize("fault", ["wrong_sign", "wrong_column_value", "colliding_basechange", "wrong_class_size"])
     def test_cli_exits_1_with_fail_lines(self, fault, monkeypatch, capsys):
         getattr(self, fault)(monkeypatch)
         assert main(["sweep", "--max", "4"]) == 1
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert any(line.startswith("FAIL: ") for line in out.splitlines())
         assert "PASS" not in out
+        assert err == ""
