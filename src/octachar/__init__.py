@@ -62,11 +62,9 @@ def __dir__():
 
 
 def clear_caches() -> None:
-    """Empty every cache: the oracle's per-n class sizes, the Schur kernel's
-    h/e sequences kept per point and the class columns kept per size.
-    Characters keep no memo."""
-    from . import hyperoctahedral, symfunc
+    """Empty every cache: the Schur kernel's h/e sequences kept per point and
+    the class columns kept per size.  Characters keep no memo."""
+    from . import symfunc
 
-    hyperoctahedral._class_sizes.cache_clear()
     symfunc._point.cache_clear()
     symfunc._class_columns.cache_clear()

@@ -103,8 +103,8 @@ def _cmd_schur(args) -> int:
     lam = parse_partition(args.lam)
     values = [_point_value(tok.strip()) for tok in args.at.split(",") if tok.strip()]
     value = schur_eval(lam, values)
-    limit = sys.get_int_max_str_digits()  # it guards parsing, not this exact result
-    sys.set_int_max_str_digits(limit and max(limit, RESULT_DIGITS))
+    limit = sys.get_int_max_str_digits()  # it guards parsing; the result has its own cap, whatever the limit
+    sys.set_int_max_str_digits(RESULT_DIGITS)
     try:
         text = str(value)
     except ValueError:
@@ -199,43 +199,39 @@ def _cmd_dims(args) -> int:
     return 1
 
 
-_REQUIRED = object()  # the default of an option that must be given
+_REQUIRED = object()  # the default of an argument that must be given
 _TARGET = tuple(_TARGET_CORES)
+_HELP = ("--help", bool, False, "show this help and exit")  # every command's -h / --help
 
-# name: (handler, help, positionals as (dest, type, help), options as {option: (type, default, help)}).
+# name: (handler, help, arguments as (name, type, default, help)), positionals first.
+# A name that starts with -- is an option; a positional's default is _REQUIRED.
 # A type is a callable, a tuple of choices, or bool for a flag.
 _COMMANDS = {
     "char": (_cmd_char, "character value of an irreducible at a class",
-             (("lam", str, "partition literal, e.g. [3,2,1^4]"), ("rho", str, "cycle type literal, e.g. [2^4]")), {}),
-    "chartable": (_cmd_chartable, "full character table of S_m as TSV", (("m", int, ""),), {}),
+             (("lam", str, _REQUIRED, "partition literal, e.g. [3,2,1^4]"),
+              ("rho", str, _REQUIRED, "cycle type literal, e.g. [2^4]"))),
+    "chartable": (_cmd_chartable, "full character table of S_m as TSV", (("m", int, _REQUIRED, ""),)),
     "basechange": (_cmd_basechange, "partition attached to a bipartition",
-                   (("pair", str, "bipartition literal, e.g. ([2,1]|[1])"),), {"--target": (_TARGET, _REQUIRED, "")}),
+                   (("pair", str, _REQUIRED, "bipartition literal, e.g. ([2,1]|[1])"),
+                    ("--target", _TARGET, _REQUIRED, ""))),
     "norm": (_cmd_norm, "halve an even-cycle class down to B_n",
-             (("w", str, "cycle type literal, e.g. [4,2,2]"),), {"--target": (_TARGET, None, "")}),
+             (("w", str, _REQUIRED, "cycle type literal, e.g. [4,2,2]"), ("--target", _TARGET, None, ""))),
     "schur": (_cmd_schur, "exact Schur polynomial value at a point",
-              (("lam", str, ""),), {"--at": (str, _REQUIRED, "comma-separated rationals, e.g. 1,1/2,3")}),
+              (("lam", str, _REQUIRED, ""), ("--at", str, _REQUIRED, "comma-separated rationals, e.g. 1,1/2,3"))),
     "verify": (_cmd_verify, "identity sweeps with seeded random points",
-               (("what", ("frobenius", "even-fact", "odd-fact"), ""),),
-               {"--max-size": (int, None, ""), "--seed": (int, 0, "")}),
+               (("what", ("frobenius", "even-fact", "odd-fact"), _REQUIRED, ""),
+                ("--max-size", int, None, ""), ("--seed", int, 0, ""))),
     "table": (_cmd_table, "the 2n <-> 2n+1 correspondence table",
-              (), {"--n": (int, _REQUIRED, ""), "--json": (bool, False, "")}),
-    "census": (_cmd_census, "signs of characters at the involution class", (),
-               {"--m": (int, _REQUIRED, ""), "--jobs": (_jobs_value, 1, "accepted; the census runs in one process")}),
+              (("--n", int, _REQUIRED, ""), ("--json", bool, False, ""))),
+    "census": (_cmd_census, "signs of characters at the involution class",
+               (("--m", int, _REQUIRED, ""), ("--jobs", _jobs_value, 1, "accepted; the census runs in one process"))),
     "sweep": (_cmd_sweep, "exhaustive main character identity check",
-              (), {"--max": (int, _REQUIRED, ""), "--jobs": (_jobs_value, 1, "worker processes, one value of n each")}),
+              (("--max", int, _REQUIRED, ""), ("--jobs", _jobs_value, 1, "worker processes, one value of n each"))),
     "dims": (_cmd_dims, "match B_n dimensions against |character| values",
-             (), {"--n": (int, _REQUIRED, ""), "--target": (_TARGET, _REQUIRED, "")}),
+             (("--n", int, _REQUIRED, ""), ("--target", _TARGET, _REQUIRED, ""))),
 }
-
-
-def _arguments(name) -> list:
-    """[(argument, type, default, help)], positionals first, for a command or,
-    when `name` is None, for the command line itself."""
-    if not name:
-        return [("command", tuple(_COMMANDS), _REQUIRED, "")]
-    _, _, positionals, options = _COMMANDS[name]
-    arguments = [(dest, kind, _REQUIRED, text) for dest, kind, text in positionals]
-    return arguments + [(option, *spec) for option, spec in options.items()]
+_COMMANDS[None] = (None, "Exact symmetric-group / hyperoctahedral character computations.",
+                   (("command", tuple(_COMMANDS), _REQUIRED, ""),))  # the command line itself
 
 
 def _label(argument: str, kind) -> str:
@@ -248,20 +244,20 @@ def _label(argument: str, kind) -> str:
 
 def _usage(name) -> str:
     words = ["usage: octachar", name, "[-h]"]
-    for argument, kind, default, _ in _arguments(name):
+    for argument, kind, default, _ in _COMMANDS[name][2]:
         words.append(_label(argument, kind) if default is _REQUIRED else "[%s]" % _label(argument, kind))
     return " ".join(filter(None, words))
 
 
 def _help(name) -> str:
     if name:
-        rows = [(_label(argument, kind), text) for argument, kind, _, text in _arguments(name)]
+        rows = [(_label(argument, kind), text) for argument, kind, _, text in _COMMANDS[name][2]]
     else:
-        rows = [(command, spec[1]) for command, spec in _COMMANDS.items()]
-    rows.append(("-h, --help", "show this help and exit"))
+        rows = [(command, spec[1]) for command, spec in _COMMANDS.items() if command]
+    rows.append(("-h, --help", _HELP[3]))
     width = max(len(label) for label, _ in rows)
-    about = _COMMANDS[name][1] if name else "Exact symmetric-group / hyperoctahedral character computations."
-    return "\n".join([_usage(name), "", about, ""] + [("  %-*s  %s" % (width, *row)).rstrip() for row in rows])
+    rows = [("  %-*s  %s" % (width, *row)).rstrip() for row in rows]
+    return "\n".join([_usage(name), "", _COMMANDS[name][1], ""] + rows)
 
 
 def _fail(name, message: str):
@@ -269,36 +265,23 @@ def _fail(name, message: str):
     raise SystemExit(2)
 
 
-def _convert(name, argument: str, kind, token: str):
-    if type(kind) is tuple:
-        if token not in kind:
-            choices = ", ".join(map(repr, kind))
-            _fail(name, "argument %s: invalid choice: %r (choose from %s)" % (argument, token, choices))
-        return token
-    try:
-        return kind(token)
-    except ValueError as exc:
-        _fail(name, "argument %s: %s" % (argument, exc))
-
-
 def _read(tokens: list, name) -> dict:
     """{dest: value} for the arguments of command `name`, or {"command": name}
     for the first token of the command line when `name` is None.  -h prints
     help and raises SystemExit(0); a usage error raises SystemExit(2)."""
-    arguments = _arguments(name)
-    options = {a[0]: a for a in arguments if a[0].startswith("--")}
-    options["--help"] = ("--help", bool, False, "")
+    arguments = _COMMANDS[name][2]
+    options = {a[0]: a for a in arguments + (_HELP,) if a[0].startswith("--")}
     waiting = [a for a in arguments if a[0] not in options]
     values, extra, tokens, ended = {}, [], iter(tokens), False
     for token in tokens:
         if token == "--" and not ended:
             ended = True  # the rest are positionals
-        elif ended or not (token == "-h" or token.startswith("--")):
-            if waiting:
-                argument, kind, _, _ = waiting.pop(0)
-                values[argument] = _convert(name, argument, kind, token)
-            else:
+            continue
+        if ended or not (token == "-h" or token.startswith("--")):
+            if not waiting:
                 extra.append(token)
+                continue
+            (argument, kind, _, _), value = waiting.pop(0), token
         else:
             flag, explicit, value = token.partition("=")
             flag = "--help" if flag == "-h" else flag
@@ -308,17 +291,23 @@ def _read(tokens: list, name) -> dict:
             if not found:
                 extra.append(token)
                 continue
-            option, kind, _, _ = options[found[0]]
+            argument, kind, _, _ = options[found[0]]
             if kind is bool and explicit:
-                _fail(name, "argument %s: ignored explicit argument %r" % (option, value))
-            if option == "--help":
+                _fail(name, "argument %s: ignored explicit argument %r" % (argument, value))
+            if argument == "--help":
                 print(_help(name))
                 raise SystemExit(0)
             if kind is not bool and not explicit:
                 value = next(tokens, None)  # taken as it is, so "--max -3" reads -3
                 if value is None:
-                    _fail(name, "argument %s: expected one argument" % option)
-            values[option] = True if kind is bool else _convert(name, option, kind, value)
+                    _fail(name, "argument %s: expected one argument" % argument)
+        if type(kind) is tuple and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            _fail(name, "argument %s: invalid choice: %r (choose from %s)" % (argument, value, choices))
+        try:
+            values[argument] = True if kind is bool else value if type(kind) is tuple else kind(value)
+        except ValueError as exc:
+            _fail(name, "argument %s: %s" % (argument, exc))
     missing = [argument for argument, _, default, _ in arguments if default is _REQUIRED and argument not in values]
     if missing:
         _fail(name, "the following arguments are required: %s" % ", ".join(missing))

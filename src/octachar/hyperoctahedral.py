@@ -13,14 +13,15 @@ bitmasks of p0 and p1, with no memo: one value top-down (`bn_character`), or
 the columns over (p0, p1) of a family of classes bottom-up in one walk
 (`bn_columns`); a class's cycle lengths may come in any order.  An independent
 oracle induces the character from B_a x B_b (`bn_character_bruteforce`,
-n <= 6), weighting the class pairs of B_a and B_b by their class sizes, which
-come from centralizer orders: the class (alpha|beta) of B_n has centralizer
-order 2^(l(alpha)+l(beta)) z_alpha z_beta (Geck-Pfeiffer 2000), the type-B
-analogue of z_rho in `characters.class_size`.
+n <= 6) as a sum over the ways to split a class's cycles between the two
+factors, each weighted by a product of binomials of cycle counts.  The module
+keeps no cache.
 """
 
-from functools import lru_cache, reduce
-from math import comb, factorial
+from collections import Counter
+from functools import reduce
+from itertools import product
+from math import comb, prod
 from typing import NamedTuple
 
 from .partitions import (
@@ -36,11 +37,11 @@ from .partitions import (
     _target_core,
     beta_mask,
 )
-from .characters import _pair_layer, _walk, centralizer_order, dimension, mn_character
+from .characters import _pair_layer, _walk, dimension, mn_character
 
 
 class BiPartition(NamedTuple):
-    """Ordered pair of partitions; indexes both B_n irreducibles and B_n classes."""
+    """Ordered pair of partitions indexing a B_n irreducible; B_n classes are `BnClass`."""
 
     p0: Partition
     p1: Partition
@@ -64,7 +65,7 @@ class BnClass(NamedTuple):
         return sum(self.positive) + sum(self.negative)
 
     def __str__(self):
-        return "(%s|%s)" % (format_partition(self.positive), format_partition(self.negative))
+        return format_bipartition(self)
 
 
 def bipartition(p0=(), p1=()) -> BiPartition:
@@ -173,27 +174,17 @@ def _signed_cycles(c: BnClass) -> list:
     return sorted(tuple(c.positive) + tuple(-v for v in c.negative), key=abs, reverse=True)
 
 
-@lru_cache(maxsize=None)
-def _class_sizes(n: int) -> dict:
-    """{class: size} over the classes (alpha|beta) of B_n: 2^n n! over the
-    centralizer order 2^(l(alpha)+l(beta)) z_alpha z_beta."""
-    order = 2**n * factorial(n)
-    return {
-        BnClass(a, b): order // (2 ** (len(a) + len(b)) * centralizer_order(a) * centralizer_order(b))
-        for a, b in bipartitions_of(n)
-    }
-
-
 def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
     """Oracle character of the irreducible (p0, p1) at any class, induced from
     A = B_a x B_b with a = |p0|, b = |p1|.
 
     On A the inducing character is chi_p0 on B_a times chi_p1 twisted by the
     signs on B_b, i.e. (-1)^(negative cycles), each read at the underlying cycle
-    type.  Ind_A^G psi(c) = (|Z(c)|/|A|) sum over h in A meeting c of psi(h),
-    and |B_n|/|A| = C(n, a), so the value is C(n, a) / |c| times the sum over
-    the class pairs (c0, c1) of B_a, B_b whose positive and negative cycles
-    unite to c, weighted by their class sizes (`_class_sizes`).
+    type.  Ind_A^G psi(c) is the sum over the splits of c's cycles into classes
+    c0 of B_a and c1 of B_b of |Z(c)| / (|Z(c0)| |Z(c1)|) psi(c0, c1).  A class
+    (alpha|beta) has centralizer order 2^(l(alpha)+l(beta)) z_alpha z_beta
+    (Geck-Pfeiffer 2000), so when k of the m cycles of each (length, sign) go
+    to B_a the weight is the product of the binomials C(m, k): an integer.
     """
     p0, p1 = Partition(pi[0]), Partition(pi[1])
     c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
@@ -202,16 +193,13 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
         raise ValueError("class of B_%d against irreducible of B_%d" % (c.n, n))
     if n > 6:
         raise ValueError("oracle scale exceeded: n = %d > 6" % n)
-    a, b = p0.size, p1.size
-    acc = sum(
-        k0 * k1 * (-1) ** len(c1.negative) * mn_character(p0, c0.positive + c0.negative)
-        * mn_character(p1, c1.positive + c1.negative)
-        for c0, k0 in _class_sizes(a).items()
-        for c1, k1 in _class_sizes(b).items()
-        if tuple(sorted(c0.positive + c1.positive, reverse=True)) == c.positive
-        and tuple(sorted(c0.negative + c1.negative, reverse=True)) == c.negative
-    )
-    q, r = divmod(comb(n, a) * acc, _class_sizes(n)[c])
-    if r:
-        raise ArithmeticError("induced character sum not divisible by the class size")
-    return q
+    kinds = Counter(_signed_cycles(c))  # cycle length, negated when negative -> count
+    value = 0
+    for split in product(*(range(m + 1) for m in kinds.values())):  # k of each kind go to B_a
+        c0 = [abs(t) for t, k in zip(kinds, split) for _ in range(k)]
+        if sum(c0) == p0.size:
+            rest = [(t, m - k) for (t, m), k in zip(kinds.items(), split)]  # r of each kind go to B_b
+            c1 = [abs(t) for t, r in rest for _ in range(r)]
+            sign = (-1) ** sum(r for t, r in rest if t < 0)
+            value += prod(map(comb, kinds.values(), split)) * sign * mn_character(p0, c0) * mn_character(p1, c1)
+    return value

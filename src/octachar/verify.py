@@ -11,7 +11,6 @@ for loading it.  The records are `NamedTuple`s and one plain class, not
 dataclasses, for the same reason.
 """
 
-from functools import partial
 from typing import NamedTuple
 
 from .partitions import Partition, _TARGET_CORES, _from_mask, _padded_mask, _quotient_mask, _shuffle_sign
@@ -138,11 +137,11 @@ class SweepReport:
         return not self.failures
 
 
-def _sweep_one_bipartition(report, pair, key, target, mask, eps, columns, run_oracle):
+def _sweep_one_bipartition(report, pair, key, target, mask, eps, columns):
     """Check one pair (mask pair `key`, basechange bitmask `mask`, shuffle sign
-    `eps`) at every (w, norm h, S_m column at w, B_n column at h) of `columns`
-    into `report`; with `run_oracle`, the even target also runs the oracle."""
-    for w, h, s_column, b_column in columns:
+    `eps`) at every (w, S_m column at w, B_n column at norm w) of `columns`
+    into `report`."""
+    for w, s_column, b_column in columns:
         lhs = s_column.get(mask, 0)
         rhs_bn = b_column.get(key, 0)
         if lhs != eps * rhs_bn:
@@ -150,28 +149,30 @@ def _sweep_one_bipartition(report, pair, key, target, mask, eps, columns, run_or
                 "identity fails: pair=%s target=%s w=%s: %d != %d * %d"
                 % (pair, target, w, lhs, eps, rhs_bn)
             )
-        if run_oracle and target == "even":
-            try:
-                agrees = bn_character_bruteforce(pair, h) == rhs_bn
-            except ArithmeticError:  # a class size that does not divide the induced sum
-                agrees = False
-            if not agrees:
-                report.failures.append("oracle mismatch: pair=%s class=%s" % (pair, h))
-            report.oracle_checked += 1
     report.checked += len(columns)
 
 
-def _sweep_n(n: int, oracle_max: int) -> SweepReport:
-    """The sweep at one n: the B_n columns in one walk for both targets, the
-    S_m columns in one per target, and each pair's basechange bitmask and sign
-    from its masks; a Partition is built only to name a failure."""
+_ORACLE_MAX = 4  # the largest n whose B_n columns the sweep checks against the oracle
+
+
+def _sweep_n(n: int) -> SweepReport:
+    """The sweep at one n: the B_n columns in one walk for both targets, checked
+    against the oracle at every pair when n <= _ORACLE_MAX, the S_m columns in
+    one walk per target, and each pair's basechange bitmask and sign from its
+    masks; a Partition is built only to name a failure."""
     report = SweepReport(n_max=n)
     pairs = [(pair, (beta_mask(pair.p0), beta_mask(pair.p1))) for pair in bipartitions_of(n)]
     b_columns = bn_columns([norm(w, "even") for w in even_cycle_classes(2 * n)])
+    if n <= _ORACLE_MAX:
+        for pair, key in pairs:
+            for h, b_column in b_columns.items():
+                if bn_character_bruteforce(pair, h) != b_column.get(key, 0):
+                    report.failures.append("oracle mismatch: pair=%s class=%s" % (pair, h))
+                report.oracle_checked += 1
     for target, core in _TARGET_CORES.items():
         m = 2 * n + core.size
         s_columns = mn_columns(even_cycle_classes(m))
-        columns = [(w, h, s_columns[w], b_columns[h]) for w in s_columns for h in [norm(w, target)]]
+        columns = [(w, s_columns[w], b_columns[norm(w, target)]) for w in s_columns]
         core_mask = _padded_mask(beta_mask(core), core.size, 2)
         seen = {}
         for pair, key in pairs:
@@ -183,26 +184,26 @@ def _sweep_n(n: int, oracle_max: int) -> SweepReport:
                 )
             seen[mask] = pair
             eps = _shuffle_sign(mask, m)
-            _sweep_one_bipartition(report, pair, key, target, mask, eps, columns, n <= oracle_max)
+            _sweep_one_bipartition(report, pair, key, target, mask, eps, columns)
     return report
 
 
-def main_theorem_sweep(n_max: int, oracle_max: int = 4, jobs: int = 1) -> SweepReport:
+def main_theorem_sweep(n_max: int, jobs: int = 1) -> SweepReport:
     """Exhaustively check, for every bipartition of n <= n_max and every class w
     of S_2n / S_2n+1 that is a product of even cycles with at most one fixed
     point, that the character of the basechanged irreducible at w equals the
     shuffle sign times the B_n character at the norm of w.
 
-    Both sides are read from columns built by adding rim hooks; for
-    n <= oracle_max the B_n side is additionally cross-checked against the
-    explicit group-sum oracle.  Basechange injectivity is asserted over the
+    Both sides are read from columns built by adding rim hooks; for n <= 4
+    every B_n column is also cross-checked against the explicit group-sum
+    oracle at every bipartition.  Basechange injectivity is asserted over the
     whole range.  Failures are collected, not raised; an empty range
     (n_max < 1) raises ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %d" % n_max)
     report = SweepReport(n_max=n_max)
-    for part in _map(partial(_sweep_n, oracle_max=oracle_max), range(1, n_max + 1), jobs):
+    for part in _map(_sweep_n, range(1, n_max + 1), jobs):
         report.checked += part.checked
         report.oracle_checked += part.oracle_checked
         report.failures.extend(part.failures)

@@ -141,7 +141,7 @@ def test_criterion_3_census_s21(capsys):
 
 
 def test_criterion_4_main_theorem_sweep():
-    report = main_theorem_sweep(6, oracle_max=4)
+    report = main_theorem_sweep(6)
     assert report.failures == []
     expected = sum(
         sum(1 for _ in bipartitions_of(n)) * 2 * sum(1 for _ in partitions_of(n))

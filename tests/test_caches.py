@@ -10,7 +10,7 @@ import pkgutil
 from fractions import Fraction
 
 import octachar
-from octachar import bipartition, bn_character_bruteforce, bn_class, verify_frobenius
+from octachar import verify_frobenius
 from octachar.partitions import Partition
 
 
@@ -26,13 +26,11 @@ def _library_caches():
 
 def test_caches_are_found():
     names = {name for name, _ in _library_caches()}
-    assert {"symfunc._class_columns", "symfunc._point"} <= names
-    assert any(name.startswith("hyperoctahedral.") for name in names)
+    assert names == {"symfunc._class_columns", "symfunc._point"}  # a new cache must join this set on purpose
 
 
 def test_clear_caches_empties_every_cache():
     caches = _library_caches()
-    bn_character_bruteforce(bipartition([2], [1]), bn_class([1], [2]))
     verify_frobenius(Partition([2, 1]), [Fraction(1), Fraction(2), Fraction(3)])
     assert [name for name, cache in caches if cache.cache_info().currsize == 0] == []
     octachar.clear_caches()

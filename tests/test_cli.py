@@ -125,6 +125,18 @@ class TestSchur:
         assert "set_int_max_str_digits" not in err
         assert sys.get_int_max_str_digits() == limit
 
+    @pytest.mark.parametrize("limit", [0, 200_000])  # no limit, and one above the cap
+    def test_output_cap_holds_under_any_digit_limit(self, capsys, limit):
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run(capsys, "schur", "[30000]", "--at", "1e4")
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert (code, out) == (2, "")
+        assert "schur value exceeds 100000 digits" in err
+
 
 class TestVerifyCommands:
     def test_frobenius(self, capsys):

@@ -93,8 +93,8 @@ def pool_sizes(monkeypatch):
     [(1, 3, []), (3, 1, []), (2, 2, [2]), (3, 8, [3]), (4, 10**6, [4])],
 )
 def test_pool_is_sized_to_the_work(pool_sizes, n_max, jobs, sizes):
-    serial = main_theorem_sweep(n_max, oracle_max=2)
-    report = main_theorem_sweep(n_max, oracle_max=2, jobs=jobs)
+    serial = main_theorem_sweep(n_max)
+    report = main_theorem_sweep(n_max, jobs=jobs)
     assert pool_sizes == sizes
     assert vars(report) == vars(serial)
 

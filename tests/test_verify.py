@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from octachar import hyperoctahedral, verify
@@ -103,13 +105,13 @@ class TestDimensionMatch:
 
 class TestMainTheoremSweep:
     def test_n1_counts(self):
-        report = main_theorem_sweep(1, oracle_max=1)
+        report = main_theorem_sweep(1)
         # 2 bipartitions x (1 even class + 1 odd class)
         assert report.checked == 4
         assert report.ok
 
     def test_n3(self):
-        report = main_theorem_sweep(3, oracle_max=2)
+        report = main_theorem_sweep(3)
         assert report.ok
         assert report.checked == sum(
             sum(1 for _ in bipartitions_of(n)) * 2 * sum(1 for _ in partitions_of(n))
@@ -118,8 +120,8 @@ class TestMainTheoremSweep:
         assert report.oracle_checked > 0
 
     def test_parallel_agrees(self):
-        serial = main_theorem_sweep(2, oracle_max=2)
-        parallel = main_theorem_sweep(2, oracle_max=2, jobs=2)
+        serial = main_theorem_sweep(2)
+        parallel = main_theorem_sweep(2, jobs=2)
         assert (serial.checked, serial.oracle_checked, serial.failures) == (
             parallel.checked,
             parallel.oracle_checked,
@@ -129,7 +131,7 @@ class TestMainTheoremSweep:
 
 class TestSweepFailures:
     """A wrong sign, a wrong column value, a colliding basechange and a wrong
-    class size in the oracle each show up as failure records that name the pair
+    split weight in the oracle each show up as failure records that name the pair
     and the class (or the partition two pairs share), and make `octachar sweep`
     exit 1 with FAIL lines and no PASS."""
 
@@ -155,15 +157,13 @@ class TestSweepFailures:
         real, mine, other = verify._quotient_mask, (0, beta_mask(P("[1]"))), (beta_mask(P("[1]")), 0)
         monkeypatch.setattr(verify, "_quotient_mask", lambda core, masks: real(core, other if masks == mine else masks))
 
-    def wrong_class_size(self, monkeypatch):
-        # tripling the size of ([1^2]|[]) in B_2 leaves induced sums the oracle cannot divide
-        real, c = hyperoctahedral._class_sizes, bn_class([1, 1], [])
-        sizes = {**real(2), c: 3 * real(2)[c]}
-        monkeypatch.setattr(hyperoctahedral, "_class_sizes", lambda n: sizes if n == 2 else real(n))
+    def wrong_split_weight(self, monkeypatch):
+        # C(n, k) + 1 for 0 < k < n: sending one of the two 1-cycles of ([1^2]|[]) to B_1 weighs 3, not 2
+        monkeypatch.setattr(hyperoctahedral, "comb", lambda n, k: comb(n, k) + (0 < k < n))
 
     def test_wrong_sign_names_pair_and_every_class(self, monkeypatch):
         self.wrong_sign(monkeypatch)
-        report = main_theorem_sweep(4, oracle_max=0)
+        report = main_theorem_sweep(4)
         assert not report.ok
         lam = P("[2,1^6]")
         assert report.failures == [
@@ -174,13 +174,13 @@ class TestSweepFailures:
 
     def test_wrong_column_value_names_pair_and_class(self, monkeypatch):
         self.wrong_column_value(monkeypatch)
-        report = main_theorem_sweep(4, oracle_max=0)
+        report = main_theorem_sweep(4)
         assert len(report.failures) == 1
         assert report.failures[0].startswith("identity fails: pair=%s target=even w=[4,2^2]: " % (self.PAIR,))
 
     def test_colliding_basechange_names_both_pairs(self, monkeypatch):
         self.colliding_basechange(monkeypatch)
-        report = main_theorem_sweep(1, oracle_max=0)
+        report = main_theorem_sweep(1)
         collisions = [f for f in report.failures if f.startswith("basechange not injective")]
         assert collisions == [
             "basechange not injective: ([]|[1]) and ([1]|[]) both map to %s (target=%s)"
@@ -188,15 +188,14 @@ class TestSweepFailures:
             for target in ("even", "odd")
         ]
 
-    def test_wrong_class_size_is_an_oracle_mismatch(self, monkeypatch):
-        self.wrong_class_size(monkeypatch)
-        with pytest.raises(ArithmeticError, match="not divisible by the class size"):
-            hyperoctahedral.bn_character_bruteforce(bipartition([1], [1]), bn_class([1, 1], []))
+    def test_wrong_split_weight_is_an_oracle_mismatch(self, monkeypatch):
+        self.wrong_split_weight(monkeypatch)
+        assert hyperoctahedral.bn_character_bruteforce(bipartition([1], [1]), bn_class([1, 1], [])) == 3
         report = main_theorem_sweep(4)
         assert "oracle mismatch: pair=([1]|[1]) class=([1^2]|[])" in report.failures
         assert all(failure.startswith("oracle mismatch: ") for failure in report.failures)
 
-    @pytest.mark.parametrize("fault", ["wrong_sign", "wrong_column_value", "colliding_basechange", "wrong_class_size"])
+    @pytest.mark.parametrize("fault", ["wrong_sign", "wrong_column_value", "colliding_basechange", "wrong_split_weight"])
     def test_cli_exits_1_with_fail_lines(self, fault, monkeypatch, capsys):
         getattr(self, fault)(monkeypatch)
         assert main(["sweep", "--max", "4"]) == 1
