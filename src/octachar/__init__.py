@@ -62,9 +62,8 @@ def __dir__():
 
 
 def clear_caches() -> None:
-    """Empty every cache: the Schur kernel's h/e sequences kept per point and
-    the class columns kept per size.  Characters keep no memo."""
+    """Empty every cache: the one the library keeps is the Schur kernel's
+    e/h sequences per point.  Characters keep no memo."""
     from . import symfunc
 
     symfunc._point.cache_clear()
-    symfunc._class_columns.cache_clear()

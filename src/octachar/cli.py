@@ -4,10 +4,11 @@ Exit codes: 0 on success / verification pass, 1 on a failed verification or
 counterexample, 2 on bad arguments, malformed literals (including a literal
 that expands to more than 10,000 parts, `partitions.MAX_LITERAL_PARTS`), an
 empty range (a `sweep` or `verify` bound below 1, rejected before any report
-line is printed), or a `schur --at` value with more digits or a larger
-exponent than the interpreter's int/str digit limit (4300 by default), refused
-before it is built, or a `schur` result with more than 100,000 digits
-(`RESULT_DIGITS`; a shorter one prints in full, past the 4300-digit limit).
+line is printed), or a `schur --at` value with more digits or a larger exponent
+than the interpreter's int/str digit limit (4300 by default), refused before it
+is built, or a `schur` result whose numerator and denominator have more than
+100,000 digits together (`RESULT_DIGITS`; a shorter one prints in full, past
+the 4300-digit limit).
 Randomized verification commands print their seed in the report header.
 `sweep --jobs` (default 1) caps the worker processes, one value of n each, so
 at most min(jobs, max) start; `census` accepts `--jobs` and runs in one process.
@@ -107,6 +108,8 @@ def _cmd_schur(args) -> int:
     sys.set_int_max_str_digits(RESULT_DIGITS)
     try:
         text = str(value)
+        if sum(c.isdigit() for c in text) > RESULT_DIGITS:  # numerator and denominator together
+            raise ValueError
     except ValueError:
         raise ValueError("schur value exceeds %d digits" % RESULT_DIGITS) from None
     finally:

@@ -190,7 +190,7 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
     c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
     n = p0.size + p1.size
     if c.n != n:
-        raise ValueError("class of B_%d against irreducible of B_%d" % (c.n, n))
+        raise ValueError("size mismatch: class of B_%d against irreducible of B_%d" % (c.n, n))
     if n > 6:
         raise ValueError("oracle scale exceeded: n = %d > 6" % n)
     kinds = Counter(_signed_cycles(c))  # cycle length, negated when negative -> count

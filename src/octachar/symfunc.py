@@ -13,15 +13,14 @@ Fraction.  Cost model: O(d (lam_1 + l)) big-int steps per point for h, then
 one determinant of order min(l, lam_1) per value; a long row in few
 variables pays for every h_k below its length (h is kept up to `_H_KEPT`
 entries per point, and past that only the last d values are held).
-The Frobenius sweep builds the power-sum expansions of all Schur functions of
-one size once per point, over one denominator, from the character columns of
-all classes of that size, built in one walk (`characters.mn_columns`) once per
-size.  No symbolic polynomial ring is involved: both sides of an identity are
-evaluated exactly at seeded random rational points.  A mismatch refutes the
-identity; agreement is evidence, not a decision (Schwartz-Zippel bounds the
-chance that a false identity holds at a random point).  Both Littlewood
-factorizations take the 2-core, the 2-quotient and the shuffle sign from
-`partitions`, at its padding convention.  `det` stays as the independent
+The Frobenius sweep builds, per point, the power-sum expansions of all Schur
+functions of one size over one denominator, from one `characters.mn_columns`
+walk per size.  No symbolic polynomial ring is involved: both sides of an
+identity are evaluated exactly at seeded random rational points.  A mismatch
+refutes the identity; agreement is evidence, not a decision (Schwartz-Zippel
+bounds the chance that a false identity holds at a random point).  Both
+Littlewood factorizations take the 2-core, the 2-quotient and the shuffle sign
+from `partitions`, at its padding convention.  `det` stays as the independent
 rational route that the tests compare the kernel against.
 
 Point constraints: the kernel keeps the contract of the bialternant
@@ -172,44 +171,41 @@ def mirrored_point_plus(xs, x) -> tuple:
     return base + (x,)
 
 
-@lru_cache(maxsize=16)
-def _class_columns(size: int) -> tuple:
-    """((rho, class_size(rho), column of rho), ...) over the classes of S_size,
-    from one `mn_columns` walk."""
-    return tuple((rho, class_size(rho), column) for rho, column in mn_columns(partitions_of(size)).items())
-
-
-def _frobenius_weights(size: int, values) -> tuple:
-    """Power-sum expansions of the Schur functions of `size` at the point, as
-    ({beta_mask(mu): sum over rho of chi_mu(rho) w_rho}, denominator), read
-    from the columns of every class (an absent mu has the value 0).  Here
-    p_rho/|Z(rho)| = w_rho / denominator: with L the lcm of the point's
-    denominators, p_r is P_r / L^r for an integer P_r, and
-    1/|Z(rho)| = class_size(rho) / size!, so w_rho = class_size(rho) * prod P_r
-    and the denominator is size! * L^size.
+def _frobenius_weights(size: int, points) -> list:
+    """One ({beta_mask(mu): sum over rho of chi_mu(rho) w_rho}, denominator)
+    per point: the power-sum expansions of the Schur functions of `size`,
+    read from every class's column of one `mn_columns` walk that only this
+    call holds (an absent mu has the value 0).  Here p_rho/|Z(rho)| =
+    w_rho / denominator: with L the lcm of the point's denominators, p_r is
+    P_r / L^r for an integer P_r, and 1/|Z(rho)| = class_size(rho) / size!,
+    so w_rho = class_size(rho) * prod P_r and the denominator is size! * L^size.
     """
-    scale = lcm(*(v.denominator for v in values))
-    cleared = [v.numerator * (scale // v.denominator) for v in values]
-    sums = [None] + [sum(c**r for c in cleared) for r in range(1, size + 1)]
-    expansion = {}
-    for rho, count, column in _class_columns(size):
-        weight = count * prod(sums[r] for r in rho)
-        for mask, value in column.items():
-            expansion[mask] = expansion.get(mask, 0) + value * weight
-    return expansion, factorial(size) * scale**size
+    classes = [(rho, class_size(rho), column) for rho, column in mn_columns(partitions_of(size)).items()]
+    weights = []
+    for values in points:
+        scale = lcm(*(v.denominator for v in values))
+        cleared = [v.numerator * (scale // v.denominator) for v in values]
+        sums = [None] + [sum(c**r for c in cleared) for r in range(1, size + 1)]
+        expansion = {}
+        for rho, count, column in classes:
+            weight = count * prod(sums[r] for r in rho)
+            for mask, value in column.items():
+                expansion[mask] = expansion.get(mask, 0) + value * weight
+        weights.append((expansion, factorial(size) * scale**size))
+    return weights
 
 
 def verify_frobenius(lam, values, *, weights=None) -> bool:
     """Check s_lam(point) against the power-sum expansion with character coefficients:
     sum over classes rho of chi_lam(rho)/|Z(rho)| * p_rho(point).
 
-    A sweep over many lam at one point of Fractions passes `weights` =
-    _frobenius_weights(|lam|, point), built once.
+    A sweep over many lam at one point passes that point's `weights` from
+    _frobenius_weights(|lam|, points); without them this check walks the columns.
     """
     lam = Partition(lam)
     if weights is None:
         values = tuple(Fraction(v) for v in values)
-        weights = _frobenius_weights(lam.size, values)
+        [weights] = _frobenius_weights(lam.size, [values])
     expansion, denominator = weights
     return schur_eval(lam, values) == Fraction(expansion.get(beta_mask(lam), 0), denominator)
 
@@ -299,7 +295,7 @@ def frobenius_sweep(max_size: int, seed: int) -> int:
     checked = 0
     for m in range(1, max_size + 1):
         points = [random_rationals(m, rng) for _ in range(_POINTS_PER_SIZE)]
-        weights = [_frobenius_weights(m, point) for point in points]
+        weights = _frobenius_weights(m, points)
         for lam in partitions_of(m):
             for point, point_weights in zip(points, weights):
                 if not verify_frobenius(lam, point, weights=point_weights):

@@ -3,6 +3,7 @@
 The caches are found by looking for `cache_clear` on the attributes of every
 `octachar` module, so a cache added later and left out of `clear_caches` fails
 here.  Each cache is filled first, so an empty cache cannot pass by accident.
+Every cache has a finite `maxsize`, so memo memory stays bounded.
 """
 
 import importlib
@@ -26,7 +27,11 @@ def _library_caches():
 
 def test_caches_are_found():
     names = {name for name, _ in _library_caches()}
-    assert names == {"symfunc._class_columns", "symfunc._point"}  # a new cache must join this set on purpose
+    assert names == {"symfunc._point"}  # a new cache must join this set on purpose
+
+
+def test_caches_are_bounded():
+    assert [name for name, cache in _library_caches() if cache.cache_parameters()["maxsize"] is None] == []
 
 
 def test_clear_caches_empties_every_cache():

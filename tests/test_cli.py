@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import octachar
 from octachar.cli import main
 from octachar.partitions import format_partition, parse_partition, partitions_of
-from octachar.hyperoctahedral import parse_bipartition
+from octachar.hyperoctahedral import bn_dimension, parse_bipartition
 
 
 def run(capsys, *argv):
@@ -125,6 +125,12 @@ class TestSchur:
         assert "set_int_max_str_digits" not in err
         assert sys.get_int_max_str_digits() == limit
 
+    def test_output_cap_counts_numerator_and_denominator_together(self, capsys):
+        # 51,999 + 50,581 digits: each part is under the cap, the value is not
+        code, out, err = run(capsys, "schur", "[13000]", "--at", "9998/7777")
+        assert (code, out) == (2, "")
+        assert "schur value exceeds 100000 digits" in err
+
     @pytest.mark.parametrize("limit", [0, 200_000])  # no limit, and one above the cap
     def test_output_cap_holds_under_any_digit_limit(self, capsys, limit):
         default = sys.get_int_max_str_digits()
@@ -154,6 +160,14 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify", "odd-fact", "--max-size", "1", "--seed", "1")
         assert code == 0
         assert "branches" in out and "PASS" in out
+
+    def test_failed_identity_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("octachar.symfunc.verify_frobenius", lambda lam, values, **kw: False)
+        code, out, err = run(capsys, "verify", "frobenius", "--max-size", "1")
+        assert (code, err) == (1, "")
+        header, failure = out.splitlines()
+        assert header == "verify frobenius: max-size=1 seed=0"
+        assert failure.startswith("FAIL: frobenius failed at lam=[1] point=")
 
 
 TABLE_N2_TSV = (
@@ -250,6 +264,12 @@ class TestCensusSweepDims:
         code, out, _ = run(capsys, "dims", "--n", "3", "--target", "odd")
         assert code == 0
         assert out.strip() == "ok: 10 dimensions match as multisets"
+
+    def test_dims_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("octachar.verify.bn_dimension", lambda pair: bn_dimension(pair) + 1)
+        code, out, err = run(capsys, "dims", "--n", "2", "--target", "even")
+        assert (code, err) == (1, "")
+        assert out == "MISMATCH: B_2 dimensions differ from the |character| multiset\n"
 
 
 def _cap_memory():

@@ -303,8 +303,9 @@ class TestMurnaghanNakayamaB:
                 assert column == (z[c] if c == d else 0), (c, d)
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError, match="size mismatch"):
-            bn_character(bipartition([2], [1]), bn_class([2], []))
+        for route in (bn_character, bn_character_bruteforce):
+            with pytest.raises(ValueError, match="^size mismatch: class of B_2 against irreducible of B_3$"):
+                route(bipartition([2], [1]), bn_class([2], []))
 
     def test_cycle_lengths_in_any_order(self):
         pair = bipartition([2, 1], [1])

@@ -70,6 +70,8 @@ class TestPartitionType:
         assert partition_counts(0) == [1]
         with pytest.raises(ValueError):
             partition_counts(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            list(partitions_of(-1))  # a generator: the check runs on the first draw
 
 
 class TestBetaSets:
@@ -341,6 +343,10 @@ class TestReconstruction:
     def test_rejects_non_core(self):
         with pytest.raises(ValueError, match="not a p-core"):
             from_core_and_quotient(Partition([2]), (Partition(), Partition()), 2)
+        with pytest.raises(ValueError, match="p must be at least 2"):
+            from_core_and_quotient(Partition(), (Partition([1]),), 1)
+        with pytest.raises(ValueError, match="exactly 2 components"):
+            from_core_and_quotient(Partition(), (Partition(), Partition(), Partition()), 2)
 
     def test_roundtrip_table_entry(self):
         lam = P("[3,2,1^4]")

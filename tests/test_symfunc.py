@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from math import prod
 
 import pytest
@@ -264,7 +266,7 @@ class TestFrobenius:
         # the expansion at mu is sum over rho of chi_mu(rho) p_rho / |Z(rho)|
         point = kernel_point(4, random.Random(17))
         for n in range(0, 7):
-            expansion, denominator = _frobenius_weights(n, tuple(point))
+            [(expansion, denominator)] = _frobenius_weights(n, [tuple(point)])
             assert set(expansion) <= {beta_mask(mu) for mu in partitions_of(n)}
             for mu in partitions_of(n):
                 expected = sum(
@@ -279,7 +281,7 @@ class TestFrobenius:
         point = random_rationals(4, random.Random(23), max_height=50)
         other = random_rationals(4, random.Random(24), max_height=50)
         for n in range(1, 8):
-            weights, wrong = _frobenius_weights(n, point), _frobenius_weights(n, other)
+            weights, wrong = _frobenius_weights(n, [point, other])
             lams = [lam for lam in partitions_of(n) if len(lam) <= 4]
             assert [verify_frobenius(lam, point) for lam in lams] == [True] * len(lams)
             assert [verify_frobenius(lam, point, weights=weights) for lam in lams] == [True] * len(lams)
@@ -347,6 +349,25 @@ class TestOperationCounts:
         octachar.clear_caches()
         assert frobenius_sweep(6, 0) == 145
         assert len(calls) == 6  # not once per size and point (30)
+
+    def test_no_class_column_outlives_the_sweep(self, monkeypatch):
+        class Column(dict):  # a dict subclass takes weak references
+            pass
+
+        refs = []
+        walk = symfunc.mn_columns
+
+        def tracked(classes):
+            columns = {rho: Column(column) for rho, column in walk(classes).items()}
+            refs.extend(weakref.ref(column) for column in columns.values())
+            return columns
+
+        monkeypatch.setattr(symfunc, "mn_columns", tracked)
+        octachar.clear_caches()
+        assert frobenius_sweep(6, 0) == 145
+        gc.collect()
+        assert len(refs) == 29  # p(1) + ... + p(6) classes
+        assert [ref for ref in refs if ref() is not None] == []  # each size's columns go with its weights
 
     @pytest.mark.parametrize(
         "name, sweep, items",
