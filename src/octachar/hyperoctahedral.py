@@ -26,14 +26,13 @@ from typing import NamedTuple
 
 from .partitions import (
     Partition,
-    PartitionParseError,
     format_partition,
     from_core_and_quotient,
     partitions_of,
     _cycle_type,
+    _expect,
     _parse_partition_at,
     _partition,
-    _skip_ws,
     _target_core,
     beta_mask,
 )
@@ -90,20 +89,9 @@ def format_bipartition(pair) -> str:
 
 def parse_bipartition(text: str) -> BiPartition:
     """Parse a ([..]|[..]) literal."""
-    i = _skip_ws(text, 0)
-    if i >= len(text) or text[i] != "(":
-        raise PartitionParseError("expected '(' at position %d in %r" % (i, text))
-    p0, i = _parse_partition_at(text, _skip_ws(text, i + 1))
-    i = _skip_ws(text, i)
-    if i >= len(text) or text[i] != "|":
-        raise PartitionParseError("expected '|' at position %d in %r" % (i, text))
-    p1, i = _parse_partition_at(text, _skip_ws(text, i + 1))
-    i = _skip_ws(text, i)
-    if i >= len(text) or text[i] != ")":
-        raise PartitionParseError("expected ')' at position %d in %r" % (i, text))
-    i = _skip_ws(text, i + 1)
-    if i != len(text):
-        raise PartitionParseError("unexpected trailing %r at position %d" % (text[i], i))
+    p0, i = _parse_partition_at(text, _expect(text, 0, "("))
+    p1, i = _parse_partition_at(text, _expect(text, i, "|"))
+    _expect(text, _expect(text, i, ")"), "")
     return BiPartition(p0, p1)
 
 

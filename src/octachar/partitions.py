@@ -283,28 +283,32 @@ def sign_shuffle(lam) -> int:
     even and odd slots of {r-1, ..., 1, 0}), and for partitions of odd size
     with 2-core (1) (pad to an odd number 2m+1 of parts, reference set
     {2m+1, ..., 1}, with an extra factor (-1)^m).
-
-    Counted on the two runners: the k-th odd bead (from 0, ascending) with c_k
-    even beads below it takes part in c_k + k + 1 inversions mod 2 at even
-    size, and in c_k + k at odd size.
     """
     lam = Partition(lam)
-    return _shuffle_sign(beta_mask(lam), lam.size)
+    eps, _, _ = _two_quotient(beta_mask(lam), lam.size)
+    if not eps:
+        raise ValueError("sign undefined: 2-core of %s is not %s" % (lam, "(1)" if lam.size % 2 else "empty"))
+    return eps
 
 
-def _shuffle_sign(mask: int, size: int) -> int:
-    """`sign_shuffle` of the partition of `size` with canonical bitmask `mask`."""
+def _two_quotient(mask: int, size: int) -> tuple:
+    """(eps, q0, q1) for the partition of `size` with canonical bitmask `mask`:
+    q0 and q1, the 2-quotient, are the two runners of its padded bitmask, and
+    eps is the shuffle sign, or 0 when the 2-core is not () at even size or (1)
+    at odd size.  The k-th odd bead (from 0, ascending) with c_k even beads below
+    it takes part in c_k + k + 1 inversions mod 2 at even size, c_k + k at odd."""
     odd_size = size % 2
     even, odd = _runners(_padded_mask(mask, size, 2), 2)
     m = even.bit_count()
     if odd.bit_count() != m + odd_size:
-        raise ValueError("sign undefined: 2-core of %s is not %s" % (_from_mask(mask), "(1)" if odd_size else "empty"))
+        return 0, even, odd
     inversions = m * odd_size
+    rest = odd
     for k in range(m + odd_size):
-        low = odd & -odd
-        odd ^= low
+        low = rest & -rest
+        rest ^= low
         inversions += (even & ((low << 1) - 1)).bit_count() + k + 1 - odd_size
-    return -1 if inversions % 2 else 1
+    return -1 if inversions % 2 else 1, even, odd
 
 
 def format_partition(lam) -> str:
@@ -328,14 +332,24 @@ MAX_LITERAL_PARTS = 10_000  # parts one literal may expand to, exponents include
 
 def parse_partition(text: str) -> Partition:
     """Parse [3,2,1^4] or [3,2,1,1,1,1]; rejects unsorted or non-positive parts."""
-    parts, i = _parse_partition_at(text, _skip_ws(text, 0))
-    i = _skip_ws(text, i)
-    if i != len(text):
-        raise PartitionParseError("unexpected trailing %r at position %d" % (text[i], i))
+    parts, i = _parse_partition_at(text, 0)
+    _expect(text, i, "")
     return parts
 
 
-def _skip_ws(text, i):
+def _expect(text: str, i: int, tokens: str) -> int:
+    """Skip white space from index i, consume one of the characters of `tokens`
+    ("" expects the end of the text) and the white space after it, and return
+    the index reached; anything else raises, naming the position."""
+    while i < len(text) and text[i].isspace():
+        i += 1
+    if not tokens:
+        if i < len(text):
+            raise PartitionParseError("unexpected trailing %r at position %d" % (text[i], i))
+        return i
+    if i == len(text) or text[i] not in tokens:
+        raise PartitionParseError("expected %s at position %d in %r" % (" or ".join(map(repr, tokens)), i, text))
+    i += 1
     while i < len(text) and text[i].isspace():
         i += 1
     return i
@@ -352,38 +366,29 @@ def _parse_int(text, i):
 
 def _parse_partition_at(text, i):
     """Parse a partition literal starting at index i; returns (Partition, next index)."""
-    if i >= len(text) or text[i] != "[":
-        raise PartitionParseError("expected '[' at position %d in %r" % (i, text))
-    i = _skip_ws(text, i + 1)
+    i = _expect(text, i, "[")
     parts = []
-    if i < len(text) and text[i] == "]":
-        i += 1
-    else:
-        while True:
-            at = i
-            value, i = _parse_int(text, i)
-            count = 1
-            if i < len(text) and text[i] == "^":
-                count, i = _parse_int(text, i + 1)
-            if value < 1 or count < 1:
-                raise PartitionParseError(
-                    "parts and exponents must be positive at position %d in %r" % (at, text)
-                )
-            if parts and parts[-1] < value:
-                raise PartitionParseError(
-                    "parts must be non-increasing at position %d in %r" % (at, text)
-                )
-            if len(parts) + count > MAX_LITERAL_PARTS:
-                raise PartitionParseError(
-                    "literal has more than %d parts at position %d" % (MAX_LITERAL_PARTS, at)
-                )
-            parts.extend([value] * count)
-            i = _skip_ws(text, i)
-            if i < len(text) and text[i] == ",":
-                i = _skip_ws(text, i + 1)
-                continue
-            if i < len(text) and text[i] == "]":
-                i += 1
-                break
-            raise PartitionParseError("expected ',' or ']' at position %d in %r" % (i, text))
-    return _partition(parts), i
+    if text.startswith("]", i):  # the empty literal
+        return _partition(parts), _expect(text, i, "]")
+    while True:
+        at = i
+        value, i = _parse_int(text, i)
+        count = 1
+        if text.startswith("^", i):
+            count, i = _parse_int(text, i + 1)
+        if value < 1 or count < 1:
+            raise PartitionParseError(
+                "parts and exponents must be positive at position %d in %r" % (at, text)
+            )
+        if parts and parts[-1] < value:
+            raise PartitionParseError(
+                "parts must be non-increasing at position %d in %r" % (at, text)
+            )
+        if len(parts) + count > MAX_LITERAL_PARTS:
+            raise PartitionParseError(
+                "literal has more than %d parts at position %d" % (MAX_LITERAL_PARTS, at)
+            )
+        parts.extend([value] * count)
+        j, i = i, _expect(text, i, ",]")
+        if "]" in text[j:i]:  # only white space and the one token lie between
+            return _partition(parts), i

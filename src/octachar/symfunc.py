@@ -19,15 +19,16 @@ walk per size.  No symbolic polynomial ring is involved: both sides of an
 identity are evaluated exactly at seeded random rational points.  A mismatch
 refutes the identity; agreement is evidence, not a decision (Schwartz-Zippel
 bounds the chance that a false identity holds at a random point).  Both
-Littlewood factorizations take the 2-core, the 2-quotient and the shuffle sign
-from `partitions`, at its padding convention.  `det` stays as the independent
-rational route that the tests compare the kernel against.
+Littlewood factorizations take the shuffle sign and the 2-quotient of lam
+from one split of its bitmask into two runners (`partitions._two_quotient`,
+at its padding convention).  `det` stays as the independent rational route
+that the tests compare the kernel against.
 
-Point constraints: the kernel keeps the contract of the bialternant
-det(x_i^(lam_j + d - j)) / det(x_i^(d-j)), whose Weyl denominator vanishes
-unless the coordinates are pairwise distinct, so a repeated coordinate is an
-error.  The mirrored point (X, -X) needs the |x_i| distinct and nonzero, and
-(X, -X, x) additionally needs |x| distinct from every |x_i|.
+Point constraints: none.  Both determinants are polynomials in the e_k or
+h_k, so any rational point will do, with repeated or zero coordinates, and a
+lam with more parts than coordinates gives 0, which is s_lam in that many
+variables.  Every identity checked here is a polynomial identity, so it holds
+at every point, the mirrored points (X, -X) and (X, -X, x) included.
 """
 
 import random
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
-from .partitions import Partition, beta_mask, p_core, p_quotient, partitions_of, sign_shuffle
+from .partitions import Partition, _from_mask, _two_quotient, beta_mask, partitions_of
 from .characters import class_size, mn_columns
 
 
@@ -89,10 +90,6 @@ def schur_eval(lam, values) -> Fraction:
     """Schur polynomial s_lam at the given point, as an exact rational."""
     lam = Partition(lam)
     vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-    if len(lam) > len(vals):
-        raise ValueError(
-            "too many parts: %d parts in %d variables" % (len(lam), len(vals))
-        )
     scale, e, h = _point(tuple(v.numerator for v in vals), tuple(v.denominator for v in vals))
     if not lam:
         return Fraction(1)
@@ -112,9 +109,6 @@ def _point(nums: tuple, dens: tuple) -> tuple:
     """(L, e, h) at the point x_i = nums[i]/dens[i] with its denominators
     cleared, c_i = x_i L for L = lcm(dens): e = [e_0(c), ..., e_d(c)] by one
     pass over the coordinates, and h = [h_0(c)], which `_complete` extends."""
-    # Fractions are normalized, so equal values have equal (numerator, denominator).
-    if len(set(zip(nums, dens))) != len(nums):
-        raise ValueError("Weyl denominator vanishes: point values must be distinct")
     scale = lcm(*dens)
     e = [1] + [0] * len(nums)
     for j, (a, b) in enumerate(zip(nums, dens), 1):
@@ -153,22 +147,14 @@ def _complete(e: list, h: list, wanted: set) -> dict:
 
 
 def mirrored_point(xs) -> tuple:
-    """(x_1..x_m, -x_1..-x_m); requires nonzero values with distinct absolute values."""
+    """(x_1..x_m, -x_1..-x_m)."""
     xs = tuple(Fraction(v) for v in xs)
-    if any(v == 0 for v in xs):
-        raise ValueError("mirrored point values must be nonzero")
-    if len({abs(v) for v in xs}) != len(xs):
-        raise ValueError("mirrored point values must have distinct absolute values")
     return xs + tuple(-v for v in xs)
 
 
 def mirrored_point_plus(xs, x) -> tuple:
-    """(x_1..x_m, -x_1..-x_m, x) with the same distinctness constraints."""
-    base = mirrored_point(xs)
-    x = Fraction(x)
-    if x == 0 or abs(x) in {abs(v) for v in base}:
-        raise ValueError("extra value must be nonzero with a fresh absolute value")
-    return base + (x,)
+    """(x_1..x_m, -x_1..-x_m, x)."""
+    return mirrored_point(xs) + (Fraction(x),)
 
 
 def _frobenius_weights(size: int, points) -> list:
@@ -213,46 +199,47 @@ def verify_frobenius(lam, values, *, weights=None) -> bool:
 def verify_factorization_even(lam, xs, *, point=None, squares=None) -> bool:
     """Littlewood factorization at a mirrored point (X, -X) in 2m variables.
 
-    Nonempty 2-core: the Schur value must vanish.  Empty 2-core: the value must
-    equal the shuffle sign times s_{q0}(X^2) s_{q1}(X^2) over the 2-quotient.
-    A sweep over many lam at one X passes `point` = mirrored_point(xs) and
-    `squares` = [x_i^2], built once.
+    With eps, q0, q1 the shuffle sign and 2-quotient of lam: at odd size, or
+    when the 2-core is not empty (eps = 0), the Schur value must vanish;
+    otherwise it is eps * s_{q0}(X^2) s_{q1}(X^2).  A sweep over many lam at
+    one X passes `point` = mirrored_point(xs) and `squares` = [x_i^2].
     """
     lam = Partition(lam)
     value = schur_eval(lam, mirrored_point(xs) if point is None else point)
-    if p_core(lam, 2):
+    eps, q0, q1 = _two_quotient(beta_mask(lam), lam.size)
+    if lam.size % 2 or not eps:
         return value == 0
-    q0, q1 = p_quotient(lam, 2)
     if squares is None:
         squares = [Fraction(v) ** 2 for v in xs]
-    return value == sign_shuffle(lam) * schur_eval(q0, squares) * schur_eval(q1, squares)
+    return value == eps * schur_eval(_from_mask(q0), squares) * schur_eval(_from_mask(q1), squares)
 
 
-def verify_factorization_odd(lam, xs, x, *, point=None, squares=None, core=None) -> bool:
+def verify_factorization_odd(lam, xs, x, *, point=None, squares=None) -> bool:
     """Factorization at a mirrored-plus-one point (X, -X, x) in 2m+1 variables.
 
-    Read off the 2-core and the 2-quotient (q0, q1) of lam.  If the 2-core is
-    neither () nor (1) the Schur value must vanish.  Otherwise it is
-    eps * s_{q0}(X^2) s_{q1}(X^2, x^2), times x when the 2-core is (1).
-    A sweep over many lam at one (X, x) passes `point` =
-    mirrored_point_plus(xs, x), `squares` = [x_1^2, ..., x_m^2, x^2], built
-    once, and the 2-core `core` of lam that it also counts.
+    With eps, q0, q1 the shuffle sign and 2-quotient of lam: if the 2-core is
+    not () at even size or (1) at odd size (eps = 0), the Schur value must
+    vanish.  Otherwise it is eps * s_{q0}(X^2) s_{q1}(X^2, x^2), times x at
+    odd size.  A sweep over many lam at one (X, x) passes `point` =
+    mirrored_point_plus(xs, x) and `squares` = [x_1^2, ..., x_m^2, x^2].
     """
     lam = Partition(lam)
     value = schur_eval(lam, mirrored_point_plus(xs, x) if point is None else point)
-    if core is None:
-        core = p_core(lam, 2)
-    if core not in ((), (1,)):
+    eps, q0, q1 = _two_quotient(beta_mask(lam), lam.size)
+    if not eps:
         return value == 0
-    q0, q1 = p_quotient(lam, 2)
     if squares is None:
         squares = [Fraction(v) ** 2 for v in (*xs, x)]
-    rhs = sign_shuffle(lam) * schur_eval(q0, squares[:-1]) * schur_eval(q1, squares)
-    return value == (rhs * Fraction(x) if core else rhs)
+    rhs = eps * schur_eval(_from_mask(q0), squares[:-1]) * schur_eval(_from_mask(q1), squares)
+    return value == (rhs * Fraction(x) if lam.size % 2 else rhs)
 
 
 def random_rationals(count: int, rng: random.Random, max_height: int = 20) -> list:
-    """Seeded nonzero rationals with distinct absolute values (height <= max_height)."""
+    """Seeded nonzero rationals with distinct absolute values (height <= max_height).
+
+    The kernel takes any point; the sweeps still draw generic ones, where a
+    false identity is less likely to hold by accident (at x_i = 0 or
+    x_i = -x_j many terms drop out of both sides)."""
     # a/1 and 1/a alone give 2 * max_height - 1 values; count the rest only
     # when a request could exceed them, so the count costs no more than the draws.
     if count > 2 * max_height - 1:
@@ -335,21 +322,18 @@ def factorization_odd_sweep(max_n: int, seed: int) -> tuple:
     if max_n < 1:
         raise ValueError("max_n must be at least 1, got %d" % max_n)
     rng = random.Random(seed)
-    checked = branch_a = branch_b = 0
+    checked, hits = 0, [0, 0]  # lam with a nonvanishing branch, by the parity of |lam|
     for n in range(1, max_n + 1):
         values = random_rationals(n + 1, rng)
         xs, x = values[:n], values[n]
         point, squares = mirrored_point_plus(xs, x), [v * v for v in values]
         for size in (2 * n + 1, 2 * n):
             for lam in partitions_of(size):
-                core = p_core(lam, 2)
-                if not verify_factorization_odd(lam, xs, x, point=point, squares=squares, core=core):
+                if not verify_factorization_odd(lam, xs, x, point=point, squares=squares):
                     raise SweepFailure(
                         "odd factorization failed at lam=%s X=%s x=%s" % (lam, xs, x)
                     )
                 checked += 1
-                if core == (1,):
-                    branch_a += 1
-                elif not core:
-                    branch_b += 1
-    return checked, branch_a, branch_b
+                if _two_quotient(beta_mask(lam), size)[0]:
+                    hits[size % 2] += 1
+    return checked, hits[1], hits[0]

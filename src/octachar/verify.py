@@ -13,7 +13,7 @@ dataclasses, for the same reason.
 
 from typing import NamedTuple
 
-from .partitions import Partition, _TARGET_CORES, _from_mask, _padded_mask, _quotient_mask, _shuffle_sign
+from .partitions import Partition, _TARGET_CORES, _from_mask, _padded_mask, _quotient_mask, _two_quotient
 from .partitions import _target_core, beta_mask, partition_counts, partitions_of, sign_shuffle
 from .characters import even_cycle_classes, mn_character, mn_column, mn_columns
 from .hyperoctahedral import (
@@ -126,8 +126,7 @@ def dimension_match(n: int, target: str) -> bool:
 
 
 class SweepReport:
-    def __init__(self, n_max: int):
-        self.n_max = n_max
+    def __init__(self):
         self.checked = 0
         self.oracle_checked = 0
         self.failures = []
@@ -160,7 +159,7 @@ def _sweep_n(n: int) -> SweepReport:
     against the oracle at every pair when n <= _ORACLE_MAX, the S_m columns in
     one walk per target, and each pair's basechange bitmask and sign from its
     masks; a Partition is built only to name a failure."""
-    report = SweepReport(n_max=n)
+    report = SweepReport()
     pairs = [(pair, (beta_mask(pair.p0), beta_mask(pair.p1))) for pair in bipartitions_of(n)]
     b_columns = bn_columns([norm(w, "even") for w in even_cycle_classes(2 * n)])
     if n <= _ORACLE_MAX:
@@ -183,7 +182,7 @@ def _sweep_n(n: int) -> SweepReport:
                     % (seen[mask], pair, _from_mask(mask), target)
                 )
             seen[mask] = pair
-            eps = _shuffle_sign(mask, m)
+            eps = _two_quotient(mask, m)[0]
             _sweep_one_bipartition(report, pair, key, target, mask, eps, columns)
     return report
 
@@ -202,7 +201,7 @@ def main_theorem_sweep(n_max: int, jobs: int = 1) -> SweepReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %d" % n_max)
-    report = SweepReport(n_max=n_max)
+    report = SweepReport()
     for part in _map(_sweep_n, range(1, n_max + 1), jobs):
         report.checked += part.checked
         report.oracle_checked += part.oracle_checked

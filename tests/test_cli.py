@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -89,6 +90,10 @@ class TestSchur:
         code, out, _ = run(capsys, "schur", "[1,1]", "--at", "1/2,3")
         assert code == 0
         assert out.strip() == "3/2"
+
+    @pytest.mark.parametrize("lam, at, value", [("[2,1]", "1,1,1", "8"), ("[1^5]", "1,2", "0"), ("[2]", "0,0,-1/2", "1/4")])
+    def test_repeated_zero_and_too_few_coordinates(self, capsys, lam, at, value):
+        assert run(capsys, "schur", lam, "--at", at) == (0, value + "\n", "")
 
     def test_bad_point(self, capsys):
         for token in ("zebra", "1e²"):  # "²" is a digit to str.isdigit, not to int()
@@ -350,6 +355,33 @@ def test_fuzzed_arguments_never_end_in_a_traceback(capsys, argv):
 def test_unknown_command_fails():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def readme_examples():
+    """(argv, expected stdout) of each `octachar ... # -> value` line of the
+    README's command-line block; a value ending in "..." is a prefix."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        command, arrow, value = line.partition("# -> ")
+        if arrow:
+            examples.append((shlex.split(command)[1:], value.strip()))
+    return examples
+
+
+@pytest.mark.parametrize("argv, value", readme_examples(), ids=lambda case: " ".join(case) if isinstance(case, list) else None)
+def test_readme_examples(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if value.endswith("..."):
+        assert out.startswith(value[:-3])
+    else:
+        assert out == value + "\n"
+
+
+def test_readme_examples_are_found():
+    assert len(readme_examples()) == 6
 
 
 COMMAND_LINES = [

@@ -376,6 +376,23 @@ class TestBipartitionText:
         with pytest.raises(PartitionParseError):
             parse_bipartition(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("", "expected '(' at position 0 in ''"),
+            ("([2,1][1])", "expected '|' at position 6 in '([2,1][1])'"),
+            ("([2,1]|[1]", "expected ')' at position 10 in '([2,1]|[1]'"),
+            (" [2,1]|[1]", "expected '(' at position 1 in ' [2,1]|[1]'"),
+            ("( [2,1] | [1] ) x", "unexpected trailing 'x' at position 16"),
+            ("(2|[1])", "expected '[' at position 1 in '(2|[1])'"),
+            ("([1]| [1,2])", "parts must be non-increasing at position 9 in '([1]| [1,2])'"),
+        ],
+    )
+    def test_parse_errors_name_a_position(self, bad, message):
+        with pytest.raises(PartitionParseError) as error:
+            parse_bipartition(bad)
+        assert str(error.value) == message
+
     def test_roundtrip(self):
         for n in range(6):
             for pair in bipartitions_of(n):

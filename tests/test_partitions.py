@@ -17,6 +17,7 @@ from octachar.partitions import (
     partitions_of,
     sign_shuffle,
     _from_mask,
+    _two_quotient,
 )
 
 from oracles import (
@@ -403,6 +404,16 @@ class TestSigns:
                 except ValueError:
                     sign = None
                 assert sign == sign_shuffle_by_permutation(lam), lam
+
+    def test_two_quotient_split_matches_sign_and_quotient(self):
+        # one runner split gives the shuffle sign (0 where it is undefined) and the 2-quotient
+        for n in range(15):
+            for lam in partitions_of(n):
+                eps, q0, q1 = _two_quotient(beta_mask(lam), n)
+                assert (eps, _from_mask(q0), _from_mask(q1)) == (
+                    sign_shuffle_by_permutation(lam) or 0,
+                    *p_quotient(lam, 2),
+                ), lam
 
     def test_odd_parts_golden(self):
         assert sign_odd_parts(P("[1^8]")) == 1

@@ -27,7 +27,7 @@ def test_field_names():
     assert CorrespondenceRow._fields == ("lambda_even", "lambda_odd", "theta_even", "theta_odd", "sign", "bn_dim")
     assert TableResult._fields == ("n", "rows", "excluded_even", "excluded_odd")
     assert SignCensus._fields == ("m", "num_positive", "num_negative", "num_zero")
-    assert vars(SweepReport(n_max=3)) == {"n_max": 3, "checked": 0, "oracle_checked": 0, "failures": []}
+    assert vars(SweepReport()) == {"checked": 0, "oracle_checked": 0, "failures": []}
 
 
 def test_keyword_construction_and_total():
@@ -49,13 +49,13 @@ def test_frozen_records_are_read_only():
 
 
 def test_sweep_reports_do_not_share_failures():
-    first, second = SweepReport(n_max=1), SweepReport(n_max=1)
+    first, second = SweepReport(), SweepReport()
     first.failures.append("x")
     assert second.failures == []
 
 
 def test_sweep_report_survives_pickle():
-    report = SweepReport(n_max=4)
+    report = SweepReport()
     report.checked, report.oracle_checked = 10, 3
     report.failures.append("identity fails: ...")
     copy = pickle.loads(pickle.dumps(report))

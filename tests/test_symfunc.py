@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import octachar
 from octachar import symfunc
+from octachar.cli import main
 from octachar.characters import centralizer_order
 from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, p_core
 from octachar.symfunc import (
@@ -122,11 +123,18 @@ class TestSchurEval:
         assert schur_eval(Partition(), []) == 1
         assert schur_eval(Partition(), [F(2)]) == 1
 
-    def test_errors(self):
-        with pytest.raises(ValueError, match="too many parts"):
-            schur_eval(Partition([1, 1]), [F(2)])
-        with pytest.raises(ValueError, match="Weyl denominator"):
-            schur_eval(Partition([1]), [F(2), F(2)])
+    def test_degenerate_points_match_tableaux(self):
+        # repeated and zero coordinates, and fewer coordinates than parts (s_lam = 0)
+        rng = random.Random(37)
+        points = [[F(2), F(2)], [F(0)], [F(0), F(0), F(-1, 3)], [F(1), F(1), F(1)], [F(-3, 2), F(3, 2), F(-3, 2)], []]
+        points += [[rng.choice([F(0), F(1), F(-2, 3)]) for _ in range(d)] for d in (2, 3, 4) for _ in range(2)]
+        for values in points:
+            for n in range(0, 8):
+                for lam in partitions_of(n):
+                    expected = schur_by_tableaux(lam, values) if len(lam) <= len(values) else 0
+                    assert schur_eval(lam, values) == expected, (lam, values)
+        assert schur_eval(Partition([2, 1]), [1, 1, 1]) == 8  # the dimension of that GL_3 irreducible
+        assert schur_eval(P("[1^5]"), [1, 2]) == 0
 
     def test_against_rational_bialternant(self):
         rng = random.Random(41)
@@ -217,18 +225,29 @@ class TestIntegerKernel:
         assert closed == det([[v ** (d - 1 - j) for j in range(d)] for v in values])
 
 
+def holds_at(xs, x, max_size):
+    """Both factorization checks at (X, -X) and (X, -X, x) for every lam up to max_size."""
+    for n in range(0, max_size + 1):
+        for lam in partitions_of(n):
+            assert verify_factorization_even(lam, xs), (lam, xs)
+            assert verify_factorization_odd(lam, xs, x), (lam, xs, x)
+
+
 class TestPoints:
-    def test_mirrored_rejects_zero(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            mirrored_point([F(0), F(1)])
+    def test_mirrored_points_take_zero_coordinates(self):
+        assert mirrored_point([F(0), F(1)]) == (0, 1, 0, -1)
+        assert mirrored_point_plus([F(0)], 0) == (0, 0, 0)
+        holds_at([F(0), F(2, 3)], F(0), 8)
+        holds_at([F(0)], F(5, 4), 8)
 
-    def test_mirrored_rejects_matching_absolute_values(self):
-        with pytest.raises(ValueError, match="absolute values"):
-            mirrored_point([F(2), F(-2)])
+    def test_mirrored_points_take_matching_absolute_values(self):
+        assert mirrored_point([F(2), F(-2)]) == (2, -2, -2, 2)
+        holds_at([F(2), F(-2), F(1, 3)], F(-1, 2), 8)
 
-    def test_plus_one_rejects_collision(self):
-        with pytest.raises(ValueError, match="fresh absolute value"):
-            mirrored_point_plus([F(2)], F(-2))
+    def test_plus_one_takes_a_colliding_extra_value(self):
+        assert mirrored_point_plus([F(2)], F(-2)) == (2, -2, -2)
+        holds_at([F(2), F(-1, 3)], F(-2), 8)
+        holds_at([F(2), F(-1, 3)], F(1, 3), 8)
 
     def test_generator_constraints(self):
         rng = random.Random(0)
@@ -276,6 +295,12 @@ class TestFrobenius:
                 )
                 assert F(expansion.get(beta_mask(mu), 0), denominator) == expected
 
+    def test_holds_at_degenerate_points(self):
+        for point in ([F(0), F(2)], [F(3), F(3), F(-3)], [F(0)] * 3, [F(1, 2), F(-1, 2), F(0), F(1, 2)]):
+            for n in range(1, 8):
+                for lam in partitions_of(n):
+                    assert verify_frobenius(lam, point), (lam, point)
+
     def test_fresh_and_passed_weights_agree(self):
         # verify_frobenius builds the weights itself unless a sweep passes them in
         point = random_rationals(4, random.Random(23), max_height=50)
@@ -305,12 +330,13 @@ class TestSchurCaches:
         assert cold == warm
         assert warm == [bialternant(lam, point) for lam in lams]
 
-    def test_repeated_coordinates_are_never_cached(self):
+    def test_repeated_coordinates_are_cached_like_any_point(self):
         octachar.clear_caches()
-        for _ in range(2):
-            with pytest.raises(ValueError, match="Weyl denominator"):
-                schur_eval(Partition([1]), [F(2), F(1, 3), F(2)])
-        assert _point.cache_info().currsize == 0
+        point = [F(2), F(1, 3), F(2)]
+        values = [schur_eval(lam, point) for lam in (Partition([1]), Partition([2, 1]), Partition([1]))]
+        assert values == [F(13, 3), schur_by_tableaux(Partition([2, 1]), point), F(13, 3)]
+        info = _point.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 class TestOperationCounts:
@@ -405,10 +431,14 @@ class TestFactorizationEven:
     def test_sweep(self):
         assert factorization_even_sweep(3, seed=1) > 0
 
-    def test_sweep_failure_reported(self):
-        # sabotage: a point with colliding absolute values must be rejected
-        with pytest.raises(ValueError):
-            verify_factorization_even(Partition([2]), [F(1), F(-1)])
+    def test_sweep_failure_reported(self, monkeypatch):
+        # sabotage: eps = +1 everywhere; [1^2] has shuffle sign -1 and fails first, at n = 1
+        xs = random_rationals(1, random.Random(0))
+        assert verify_factorization_even(Partition([1, 1]), xs)
+        sabotage(monkeypatch, "plus_sign")
+        with pytest.raises(SweepFailure) as failure:
+            factorization_even_sweep(5, 0)
+        assert str(failure.value) == "even factorization failed at lam=[1^2] X=%s" % (xs,)
 
 
 class TestFactorizationOdd:
@@ -417,9 +447,20 @@ class TestFactorizationOdd:
         assert schur_eval(Partition([1]), (x,)) == x
         assert verify_factorization_odd(Partition([1]), [], x)
 
-    def test_too_many_parts_surfaces(self):
-        with pytest.raises(ValueError, match="too many parts: 2 parts in 1 variables"):
-            verify_factorization_odd(Partition([1, 1]), [], F(5, 4))
+    def test_too_many_parts_vanish(self):
+        # [1^2] in one variable: s = 0, and so is the factorization through s_[1](x_empty)
+        assert schur_eval(Partition([1, 1]), [F(5, 4)]) == 0
+        assert verify_factorization_odd(Partition([1, 1]), [], F(5, 4))
+        assert verify_factorization_even(P("[2^2,1^2]"), [F(5, 4)])
+
+    @pytest.mark.parametrize("fault, lam", [("plus_sign", "[2,1]"), ("swapped_quotient", "[3]")])
+    def test_sweep_failure_reported(self, monkeypatch, fault, lam):
+        values = random_rationals(2, random.Random(0))
+        assert verify_factorization_odd(P(lam), values[:1], values[1])
+        sabotage(monkeypatch, fault)
+        with pytest.raises(SweepFailure) as failure:
+            factorization_odd_sweep(4, 0)
+        assert str(failure.value) == "odd factorization failed at lam=%s X=%s x=%s" % (lam, values[:1], values[1])
 
     def test_sweep_hits_both_branches(self):
         checked, branch_a, branch_b = factorization_odd_sweep(2, seed=2)
@@ -469,6 +510,35 @@ class TestFactorizationOdd:
             )
             assert coeffs[1] == expected
             assert any(c != 0 for c in coeffs)
+
+
+def sabotage(monkeypatch, fault):
+    """Replace the factorization checks' (eps, q0, q1) by a wrong one: eps = +1
+    everywhere, or the two quotient runners swapped."""
+    real = symfunc._two_quotient
+
+    def plus_sign(mask, size):
+        return (1,) + real(mask, size)[1:]
+
+    def swapped_quotient(mask, size):
+        eps, q0, q1 = real(mask, size)
+        return eps, q1, q0
+
+    monkeypatch.setattr(symfunc, "_two_quotient", {"plus_sign": plus_sign, "swapped_quotient": swapped_quotient}[fault])
+
+
+@pytest.mark.parametrize(
+    "what, fault",
+    [("even-fact", "plus_sign"), ("odd-fact", "plus_sign"), ("odd-fact", "swapped_quotient")],
+)
+def test_cli_exits_1_on_a_sabotaged_factorization(monkeypatch, capsys, what, fault):
+    # swapping q0 and q1 leaves s_q0(X^2) s_q1(X^2) as it is, so only odd-fact sees it
+    sabotage(monkeypatch, fault)
+    assert main(["verify", what]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if line.startswith("FAIL: ")]
+    assert "PASS" not in out
+    assert err == ""
 
 
 def test_sweep_failure_type_exists():

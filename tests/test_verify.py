@@ -138,8 +138,13 @@ class TestSweepFailures:
     PAIR = bipartition([], [1, 1, 1, 1])  # basechange [2,1^6]; chi_[1^4] vanishes nowhere
 
     def wrong_sign(self, monkeypatch):
-        real, mask = verify._shuffle_sign, beta_mask(P("[2,1^6]"))
-        monkeypatch.setattr(verify, "_shuffle_sign", lambda m, size: -real(m, size) if m == mask else real(m, size))
+        real, mask = verify._two_quotient, beta_mask(P("[2,1^6]"))
+
+        def flipped(m, size):
+            eps, q0, q1 = real(m, size)
+            return (-eps if m == mask else eps), q0, q1
+
+        monkeypatch.setattr(verify, "_two_quotient", flipped)
 
     def wrong_column_value(self, monkeypatch):
         real, w, mask = verify.mn_columns, P("[4,2,2]"), beta_mask(P("[2,1^6]"))
