@@ -182,11 +182,11 @@ def _frobenius_weights(size: int, points) -> list:
 
 
 def verify_frobenius(lam, values, *, weights=None) -> bool:
-    """Check s_lam(point) against the power-sum expansion with character coefficients:
-    sum over classes rho of chi_lam(rho)/|Z(rho)| * p_rho(point).
+    """Check s_lam(point) by power sums; a call without `weights=` walks every class column of |lam|.
 
-    A sweep over many lam at one point passes that point's `weights` from
-    _frobenius_weights(|lam|, points); without them this check walks the columns.
+    The expansion is the sum over classes rho of chi_lam(rho)/|Z(rho)| *
+    p_rho(point).  A sweep over many lam at one point passes that point's
+    `weights` from _frobenius_weights(|lam|, points) and walks the columns once.
     """
     lam = Partition(lam)
     if weights is None:

@@ -10,7 +10,9 @@ route needs, are computed directly.  Rim hooks have two reference routes:
 cell-by-cell diagram surgery, and bead moves on tuple beta-sets (the library
 moves beads on int bitmasks).  Characters of S_m and B_n have a reference route in the
 remove-hooks recursion on tuple beta-sets (the library goes by layers of
-bitmasks, and adds hooks for whole columns).
+bitmasks, and adds hooks for whole columns).  The sign census has a reference
+route in the Murnaghan-Nakayama column at the involution class (the library
+counts 2-quotients by the paper's identity).
 
 A few small routes that no library path calls live here too, so the library
 does not carry them: encoding and decoding a tuple beta-set, the doubled and embedded
@@ -24,9 +26,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from octachar.partitions import Partition, p_core, partitions_of
-from octachar.characters import mn_character
+from octachar.partitions import Partition, p_core, partition_counts, partitions_of
+from octachar.characters import mn_character, mn_column
 from octachar.hyperoctahedral import BnClass
+from octachar.verify import SignCensus, w0_class
 
 
 # -- small routes that only the tests use -----------------------------------
@@ -549,6 +552,18 @@ def centralizer_count(rho):
     return sum(
         1 for t in itertools.permutations(range(n)) if compose(t, g) == compose(g, t)
     )
+
+
+# -- the sign census by one character column --------------------------------
+
+
+def sign_census_by_columns(m):
+    """The census of `verify.sign_census` read off the Murnaghan-Nakayama
+    column at the involution class: every value computed, none taken from
+    the paper's identity."""
+    values = mn_column(w0_class(m)).values()
+    pos = sum(1 for v in values if v > 0)
+    return SignCensus(m, pos, len(values) - pos, partition_counts(m)[m] - len(values))
 
 
 # -- exact polynomial interpolation ------------------------------------------

@@ -381,7 +381,7 @@ def test_readme_examples(capsys, argv, value):
 
 
 def test_readme_examples_are_found():
-    assert len(readme_examples()) == 6
+    assert len(readme_examples()) == 7
 
 
 COMMAND_LINES = [

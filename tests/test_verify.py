@@ -2,9 +2,9 @@ from math import comb
 
 import pytest
 
-from octachar import hyperoctahedral, verify
+from octachar import characters, hyperoctahedral, partitions, verify
 from octachar.cli import main
-from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, sign_shuffle
+from octachar.partitions import Partition, beta_mask, parse_partition, partition_counts, partitions_of, sign_shuffle
 from octachar.characters import even_cycle_classes, mn_character
 from octachar.hyperoctahedral import basechange, bipartition, bipartitions_of, bn_character, bn_class, norm
 from octachar.verify import (
@@ -14,6 +14,7 @@ from octachar.verify import (
     sign_census,
     w0_class,
 )
+from oracles import sign_census_by_columns
 
 
 def P(text):
@@ -90,6 +91,52 @@ class TestCensus:
         values = [mn_character(lam, w) for lam in partitions_of(9)]
         assert census.num_positive == sum(1 for v in values if v > 0)
         assert census.num_negative == sum(1 for v in values if v < 0)
+
+    @pytest.mark.parametrize("m", range(2, 41))
+    def test_matches_column_census(self, m):
+        assert sign_census(m) == sign_census_by_columns(m)
+
+    @pytest.mark.parametrize(
+        "m, counts",
+        [
+            (60, (293_462, 295_666, 377_339)),
+            (200, (921_840_555_708, 921_805_265_058, 2_129_353_208_622)),
+        ],
+    )
+    def test_pins_beyond_the_columns(self, m, counts):
+        census = sign_census(m)
+        assert (census.num_positive, census.num_negative, census.num_zero) == counts
+        assert census.total == partition_counts(m)[m]
+
+    @pytest.mark.parametrize("m", [*range(2, 61), 200])
+    def test_nonzero_count_is_bipartition_count(self, m):
+        # the nonzero values are the basechanged bipartitions of n, so the
+        # scan's pruning drops no quotient pair
+        n = m // 2
+        p = partition_counts(n)
+        census = sign_census(m)
+        assert census.num_positive + census.num_negative == sum(p[k] * p[n - k] for k in range(n + 1))
+
+    @pytest.mark.parametrize("m", [m for m in range(2, 61) if m % 4 in (2, 3)])
+    def test_conjugation_balances_odd_n(self, m):
+        # chi^lam'(w0) = sgn(w0) chi^lam(w0) with sgn(w0) = (-1)^n, and
+        # conjugation permutes the partitions of m
+        census = sign_census(m)
+        assert census.num_positive == census.num_negative
+
+    def test_walks_no_hook_layer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census walked a character column")
+
+        monkeypatch.setattr(verify, "mn_column", refuse)
+        monkeypatch.setattr(partitions, "hook_layer", refuse)
+        monkeypatch.setattr(characters, "hook_layer", refuse)
+        census = sign_census(30)
+        assert (census.total, census.num_positive, census.num_negative, census.num_zero) == (5604, 1978, 1978, 1648)
+
+    def test_rejects_tiny(self):
+        with pytest.raises(ValueError, match="m must be at least 2"):
+            sign_census(1)
 
 
 class TestDimensionMatch:
