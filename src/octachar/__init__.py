@@ -6,7 +6,7 @@ even-cycle classes, the basechange map through 2-cores and 2-quotients, and
 exact rational Schur polynomial values, together with harnesses that verify
 the identities tying all of these together.
 
-The library has five layers, partitions, characters, hyperoctahedral,
+The library has six layers, partitions, census, characters, hyperoctahedral,
 symfunc and verify, and each imports only layers listed before it.
 `import octachar` runs none of them: an exported name is looked up in its
 layer on first use (PEP 562), so a program compiles and runs only the layers
@@ -24,6 +24,7 @@ _LAYERS = {
         "hook_lengths", "p_core", "p_quotient", "parse_partition", "partition_counts", "partitions_of",
         "sign_shuffle",
     ),
+    "census": ("SignCensus", "sign_census"),
     "characters": (
         "centralizer_order", "character_table", "class_size", "dimension", "even_cycle_classes",
         "mn_character", "mn_column", "product_character",
@@ -38,8 +39,8 @@ _LAYERS = {
         "verify_factorization_even", "verify_factorization_odd", "verify_frobenius",
     ),
     "verify": (
-        "CorrespondenceRow", "SignCensus", "SweepReport", "TableResult", "build_table",
-        "dimension_match", "main_theorem_sweep", "sign_census", "w0_class",
+        "CorrespondenceRow", "SweepReport", "TableResult", "build_table", "dimension_match",
+        "main_theorem_sweep", "w0_class",
     ),
 }
 _EXPORTS = {name: layer for layer, names in _LAYERS.items() for name in names}  # name -> its layer

@@ -12,8 +12,8 @@ the 4300-digit limit).
 Randomized verification commands print their seed in the report header.
 `sweep --jobs` (default 1) caps the worker processes, one value of n each, so
 at most min(jobs, max) start; `census` accepts `--jobs` and runs in one process.
-A command imports only the layers it runs: this module loads partitions and
-characters, which every layer imports, and each handler imports the rest
+A command imports only the layers it runs: this module loads partitions,
+which every layer imports, and each handler imports the layers it runs
 itself; tests/test_startup.py pins which.
 
 The command line is read from `_COMMANDS`, one table that dispatch reads too:
@@ -30,7 +30,6 @@ import sys
 from types import SimpleNamespace
 
 from .partitions import Partition, PartitionParseError, _TARGET_CORES, format_partition, parse_partition, partition_counts
-from .characters import mn_character, character_table
 
 
 def _jobs_value(value) -> int:
@@ -41,6 +40,8 @@ def _jobs_value(value) -> int:
 
 
 def _cmd_char(args) -> int:
+    from .characters import mn_character
+
     lam = parse_partition(args.lam)
     rho = parse_partition(args.rho)
     print(mn_character(lam, rho))
@@ -48,6 +49,8 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
+    from .characters import character_table
+
     lams, classes, rows = character_table(args.m)
     print("\t".join(["partition"] + [format_partition(c) for c in classes]))
     for lam, row in zip(lams, rows):
@@ -165,7 +168,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    from .verify import sign_census
+    from .census import sign_census
 
     census = sign_census(args.m)
     print(

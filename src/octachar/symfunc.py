@@ -15,10 +15,12 @@ variables pays for every h_k below its length (h is kept up to `_H_KEPT`
 entries per point, and past that only the last d values are held).
 The Frobenius sweep builds, per point, the power-sum expansions of all Schur
 functions of one size over one denominator, from one `characters.mn_columns`
-walk per size.  No symbolic polynomial ring is involved: both sides of an
-identity are evaluated exactly at seeded random rational points.  A mismatch
-refutes the identity; agreement is evidence, not a decision (Schwartz-Zippel
-bounds the chance that a false identity holds at a random point).  Both
+walk per size; only those weights load the character walk, so a Schur value
+or a Littlewood factorization loads no character code.  No symbolic
+polynomial ring is involved: both sides of an identity are evaluated exactly
+at seeded random rational points.  A mismatch refutes the identity;
+agreement is evidence, not a decision (Schwartz-Zippel bounds the chance
+that a false identity holds at a random point).  Both
 Littlewood factorizations take the shuffle sign and the 2-quotient of lam
 from one split of its bitmask into two runners (`partitions._two_quotient`,
 at its padding convention).  `det` stays as the independent rational route
@@ -37,7 +39,6 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
 from .partitions import Partition, _from_mask, _two_quotient, beta_mask, partitions_of
-from .characters import class_size, mn_columns
 
 
 def _det_int_bareiss(m: list) -> int:
@@ -166,6 +167,8 @@ def _frobenius_weights(size: int, points) -> list:
     P_r / L^r for an integer P_r, and 1/|Z(rho)| = class_size(rho) / size!,
     so w_rho = class_size(rho) * prod P_r and the denominator is size! * L^size.
     """
+    from .characters import class_size, mn_columns
+
     classes = [(rho, class_size(rho), column) for rho, column in mn_columns(partitions_of(size)).items()]
     weights = []
     for values in points:

@@ -29,7 +29,8 @@ from math import factorial
 from octachar.partitions import Partition, p_core, partition_counts, partitions_of
 from octachar.characters import mn_character, mn_column
 from octachar.hyperoctahedral import BnClass
-from octachar.verify import SignCensus, w0_class
+from octachar.census import SignCensus
+from octachar.verify import w0_class
 
 
 # -- small routes that only the tests use -----------------------------------
@@ -558,7 +559,7 @@ def centralizer_count(rho):
 
 
 def sign_census_by_columns(m):
-    """The census of `verify.sign_census` read off the Murnaghan-Nakayama
+    """The census of `census.sign_census` read off the Murnaghan-Nakayama
     column at the involution class: every value computed, none taken from
     the paper's identity."""
     values = mn_column(w0_class(m)).values()

@@ -36,11 +36,11 @@ from octachar.symfunc import (
     factorization_odd_sweep,
     frobenius_sweep,
 )
+from octachar.census import sign_census
 from octachar.verify import (
     build_table,
     dimension_match,
     main_theorem_sweep,
-    sign_census,
 )
 
 from oracles import embed_class, sign_odd_parts, sn_character_table_young

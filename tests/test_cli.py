@@ -242,6 +242,10 @@ class TestCensusSweepDims:
         assert code == 0
         assert out.strip() == "22 total, 10 positive, 10 negative, 2 zero"
 
+    def test_census_bench_command_line(self, capsys):
+        expected = "5604 total, 1978 positive, 1978 negative, 1648 zero\n"
+        assert run(capsys, "census", "--m", "30", "--jobs", "2") == (0, expected, "")
+
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--max", "2")
         assert code == 0

@@ -17,7 +17,7 @@ import pytest
 import octachar
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-LAYERS = ("partitions", "characters", "hyperoctahedral", "symfunc", "verify")
+LAYERS = ("partitions", "census", "characters", "hyperoctahedral", "symfunc", "verify")
 EXPORTS = {
     "BiPartition", "BnClass", "CorrespondenceRow", "Partition", "PartitionParseError", "SignCensus",
     "SweepReport", "TableResult", "basechange", "beta_mask", "bipartition", "bipartitions_of",

@@ -1,4 +1,4 @@
-"""verify's result records and the size of the sweep's pool.
+"""The result records of verify and census, and the size of the sweep's pool.
 
 The records keep their field names and keyword construction; the frozen ones
 stay read-only, and a SweepReport crosses a pool as a pickle.  The pool tests
@@ -12,14 +12,13 @@ import pytest
 
 from octachar.cli import main
 from octachar.partitions import Partition
+from octachar.census import SignCensus, sign_census
 from octachar.verify import (
     CorrespondenceRow,
-    SignCensus,
     SweepReport,
     TableResult,
     build_table,
     main_theorem_sweep,
-    sign_census,
 )
 
 

@@ -20,9 +20,10 @@ WATCHED = {"multiprocessing", "dataclasses", "inspect", "json", "argparse", "get
 LIST_MODULES = "print(' '.join(sorted(sys.modules)))"
 RUN_MAIN = "import sys; from octachar.cli import main; code = main(sys.argv[1:]); %s; sys.exit(code)" % LIST_MODULES
 
-CORE = {"octachar", "octachar.cli", "octachar.partitions", "octachar.characters"}
+CORE = {"octachar", "octachar.cli", "octachar.partitions"}
+CHARACTERS = CORE | {"octachar.characters"}
 SYMFUNC = CORE | {"octachar.symfunc", "fractions", "random"}
-HYPEROCTAHEDRAL = CORE | {"octachar.hyperoctahedral"}
+HYPEROCTAHEDRAL = CHARACTERS | {"octachar.hyperoctahedral"}
 HARNESS = HYPEROCTAHEDRAL | {"octachar.verify"}
 
 
@@ -72,14 +73,16 @@ def test_command_loads_none_of_them(baseline, argv):
 
 
 LAYERS_BY_COMMAND = {
-    "chartable 3": CORE,
-    "char [2,1] [1^3]": CORE,
-    "verify frobenius --max-size 2": SYMFUNC,
+    "chartable 3": CHARACTERS,
+    "char [2,1] [1^3]": CHARACTERS,
+    "verify frobenius --max-size 2": SYMFUNC | {"octachar.characters"},
+    "verify even-fact --max-size 2": SYMFUNC,
+    "verify odd-fact --max-size 2": SYMFUNC,
     "schur [2,1] --at 1,2,3": SYMFUNC,
     "basechange ([1]|[1]) --target even": HYPEROCTAHEDRAL,
     "norm [4,2]": HYPEROCTAHEDRAL,
     "sweep --max 2 --jobs 1": HARNESS,
-    "census --m 6": HARNESS,
+    "census --m 6": CORE | {"octachar.census"},
     "table --n 2": HARNESS,
     "dims --n 2 --target even": HARNESS,
 }
@@ -88,6 +91,22 @@ LAYERS_BY_COMMAND = {
 @pytest.mark.parametrize("command", LAYERS_BY_COMMAND)
 def test_command_loads_only_its_layers(baseline, command):
     assert _layers(_loaded(RUN_MAIN, *command.split()) - baseline) == LAYERS_BY_COMMAND[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "chartable 3",
+        "char [2,1] [1^3]",
+        "schur [2,1] --at 1,2,3",
+        "verify frobenius --max-size 2",
+        "verify even-fact --max-size 2",
+        "verify odd-fact --max-size 2",
+    ],
+)
+def test_command_loads_no_typing(baseline, command):
+    """No NamedTuple reaches these commands through cli or partitions."""
+    assert "typing" not in _loaded(RUN_MAIN, *command.split()) - baseline
 
 
 def test_guard_sees_a_pool(baseline):
@@ -106,4 +125,6 @@ def test_guard_sees_argparse(baseline):
 def test_guard_sees_a_layer(baseline):
     """Touching one exported name loads its layer and the layers under it."""
     loaded = _loaded("import sys, octachar; octachar.sign_census; " + LIST_MODULES) - baseline
+    assert _layers(loaded) == {"octachar", "octachar.census", "octachar.partitions"}
+    loaded = _loaded("import sys, octachar; octachar.main_theorem_sweep; " + LIST_MODULES) - baseline
     assert _layers(loaded) == HARNESS - {"octachar.cli"}

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fractions import Fraction
 
 import octachar
-from octachar import symfunc
+from octachar import characters, symfunc
 from octachar.cli import main
 from octachar.characters import centralizer_order
 from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, p_core
@@ -365,13 +365,13 @@ class TestOperationCounts:
 
     def test_columns_are_walked_once_per_size(self, monkeypatch):
         calls = []
-        walk = symfunc.mn_columns
+        walk = characters.mn_columns
 
         def counting(classes):
             calls.append(1)
             return walk(classes)
 
-        monkeypatch.setattr(symfunc, "mn_columns", counting)
+        monkeypatch.setattr(characters, "mn_columns", counting)
         octachar.clear_caches()
         assert frobenius_sweep(6, 0) == 145
         assert len(calls) == 6  # not once per size and point (30)
@@ -381,14 +381,14 @@ class TestOperationCounts:
             pass
 
         refs = []
-        walk = symfunc.mn_columns
+        walk = characters.mn_columns
 
         def tracked(classes):
             columns = {rho: Column(column) for rho, column in walk(classes).items()}
             refs.extend(weakref.ref(column) for column in columns.values())
             return columns
 
-        monkeypatch.setattr(symfunc, "mn_columns", tracked)
+        monkeypatch.setattr(characters, "mn_columns", tracked)
         octachar.clear_caches()
         assert frobenius_sweep(6, 0) == 145
         gc.collect()

@@ -7,11 +7,11 @@ from octachar.cli import main
 from octachar.partitions import Partition, beta_mask, parse_partition, partition_counts, partitions_of, sign_shuffle
 from octachar.characters import even_cycle_classes, mn_character
 from octachar.hyperoctahedral import basechange, bipartition, bipartitions_of, bn_character, bn_class, norm
+from octachar.census import sign_census
 from octachar.verify import (
     build_table,
     dimension_match,
     main_theorem_sweep,
-    sign_census,
     w0_class,
 )
 from oracles import sign_census_by_columns
