@@ -11,7 +11,9 @@ a family's columns in one walk that expands each shared prefix once
 walk's move rows: one row per distinct (mask, |t|) the walk reaches (1,246
 for `character_table` 15, against 7,717 mask visits), freed when it returns.
 The character induced from S_a x S_b runs the same layers on pairs of masks
-(`_pair_layer`), the frontier that `hyperoctahedral` uses for B_n characters.
+(`_pair_layer`), the frontier that `hyperoctahedral` uses for B_n characters:
+each pair moves by the move row of the mask that moves, and a walk's rows of
+one |t| serve both masks.
 """
 
 from collections import Counter, defaultdict
@@ -82,18 +84,32 @@ def _walk(start: dict, sequences: dict, layer) -> dict:
 
 def _pair_layer(frontier: dict, t: int, add: bool = False, rows: dict = None) -> dict:
     """`hook_layer` on (mask0, mask1) keys at a signed cycle length t: the hook
-    goes into mask0, or into mask1 with its sign negated when t < 0.  Keys are
-    grouped by the mask that stays, and the layer runs once per group; `rows`
-    is keyed by the mask that moves, so t and -t can share it."""
-    by1, by0, length = {}, {}, abs(t)
+    goes into mask0, or into mask1 with its sign negated when t < 0.  Each key
+    moves by the move row (see `hook_layer`) of the mask that moves, so `rows`,
+    keyed by mask alone, serves t, -t and both sides; without it the layer
+    keeps its own.  A mask's row is built the first time it moves."""
+    length, layer = abs(t), {}
+    rows = {} if rows is None else rows
+    get = layer.get
     for (mask0, mask1), value in frontier.items():
-        by1.setdefault(mask1, {})[mask0] = value
-        by0.setdefault(mask0, {})[mask1] = value if t > 0 else -value
-    layer = {(mask0, mask1): value for mask1, group in by1.items()
-             for mask0, value in hook_layer(group, length, add, rows).items()}
-    for mask0, group in by0.items():
-        for mask1, value in hook_layer(group, length, add, rows).items():
-            layer[mask0, mask1] = layer.get((mask0, mask1), 0) + value
+        if mask0 not in rows:
+            hook_layer({mask0: 1}, length, add, rows)
+        if mask1 not in rows:
+            hook_layer({mask1: 1}, length, add, rows)
+        plus, minus = rows[mask0]
+        for moved in plus:
+            key = moved, mask1
+            layer[key] = get(key, 0) + value
+        for moved in minus:
+            key = moved, mask1
+            layer[key] = get(key, 0) - value
+        plus, minus = rows[mask1] if t > 0 else reversed(rows[mask1])
+        for moved in plus:
+            key = mask0, moved
+            layer[key] = get(key, 0) + value
+        for moved in minus:
+            key = mask0, moved
+            layer[key] = get(key, 0) - value
     if 0 in layer.values():
         layer = {key: value for key, value in layer.items() if value}
     return layer

@@ -11,9 +11,10 @@ whole frontier {mask: value} by one hook length.  Quotients, the p-core
 (every runner flushed, which is what removing p-hooks one at a time leaves)
 and the shuffle sign are read off the p abacus runners of the mask (runner i
 holds the beads congruent to i mod p), and `_interleave` puts runners back
-together.  Padding length matters for the
-p-quotient and for the shuffle sign, so the convention is fixed once here,
-in `_padded_mask`, which each of them calls on a bitmask:
+together; at p = 2, `_from_two_quotient` reads a partition's bitmask and
+shuffle sign off its 2-quotient in one pass.  Padding length matters for the
+p-quotient and for the shuffle sign, so the convention is fixed once here, in
+`_padded_mask`, which each of them calls on a bitmask:
 
   * p = 2: pad to the smallest length with the parity of |lam|.  This makes
     the 2-quotient of a partition of 2n and of its partner of 2n+1 (same
@@ -294,21 +295,49 @@ def sign_shuffle(lam) -> int:
 def _two_quotient(mask: int, size: int) -> tuple:
     """(eps, q0, q1) for the partition of `size` with canonical bitmask `mask`:
     q0 and q1, the 2-quotient, are the two runners of its padded bitmask, and
-    eps is the shuffle sign, or 0 when the 2-core is not () at even size or (1)
-    at odd size.  The k-th odd bead (from 0, ascending) with c_k even beads below
-    it takes part in c_k + k + 1 inversions mod 2 at even size, c_k + k at odd."""
+    eps is the shuffle sign (`_runner_sign`), or 0 when the 2-core is not () at
+    even size or (1) at odd size."""
     odd_size = size % 2
     even, odd = _runners(_padded_mask(mask, size, 2), 2)
-    m = even.bit_count()
-    if odd.bit_count() != m + odd_size:
+    if odd.bit_count() != even.bit_count() + odd_size:
         return 0, even, odd
-    inversions = m * odd_size
-    rest = odd
-    for k in range(m + odd_size):
-        low = rest & -rest
-        rest ^= low
-        inversions += (even & ((low << 1) - 1)).bit_count() + k + 1 - odd_size
-    return -1 if inversions % 2 else 1, even, odd
+    return _runner_sign(even, odd, odd_size), even, odd
+
+
+def _from_two_quotient(q0: int, q1: int, odd_size: int) -> tuple:
+    """Inverse of `_two_quotient`: (canonical bitmask, shuffle sign) of the
+    partition with 2-core () (`odd_size` 0) or (1) (`odd_size` 1) and
+    2-quotient bitmasks (q0, q1).  The runners are the ones `_quotient_mask`
+    builds, each quotient mask over a foot of beads, and the sign is read off
+    them before they are interleaved.  Only one runner has a foot, so only the
+    quotient beads are spread (bit j to bit 2j is low * low) and the foot is
+    added whole; one bead at 0 is left to shift out."""
+    pad = max(q0.bit_count(), q1.bit_count() - odd_size)
+    foot0, foot1 = pad - q0.bit_count(), pad + odd_size - q1.bit_count()
+    merged = ((1 << 2 * foot0) - 1) // 3 | ((1 << 2 * foot1) - 1) // 3 << 1  # the feet, interleaved
+    for runner, i in ((q0 << foot0, 0), (q1 << foot1, 1)):
+        while runner:
+            low = runner & -runner
+            runner ^= low
+            merged |= low * low << i
+    eps = _runner_sign(((q0 + 1) << foot0) - 1, ((q1 + 1) << foot1) - 1, odd_size)
+    return merged >> (merged & 1), eps
+
+
+def _runner_sign(even: int, odd: int, odd_size: int) -> int:
+    """Shuffle sign of a partition of parity `odd_size` from the two runners of
+    a padded bitmask with odd_size more odd beads than even ones.  The k-th odd
+    bead (from 0, ascending) with c_k even beads below it on the runners takes
+    part in c_k + k + 1 inversions mod 2 at even size, c_k + k at odd size, and
+    in one more for each even bead at odd size; c_k's parity is bit k' of the
+    even runner's prefix parity, k' the odd bead's place on its runner.
+    Dropping one foot bead from both runners leaves the sign unchanged."""
+    parity, shift, top = even, 1, odd.bit_length()
+    while shift < top:
+        parity ^= parity << shift
+        shift <<= 1
+    beads = odd.bit_count()
+    return -1 if ((parity & odd).bit_count() + beads * (beads + 1) // 2 + odd_size) & 1 else 1
 
 
 def format_partition(lam) -> str:

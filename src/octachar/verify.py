@@ -3,27 +3,21 @@
 These drive the other modules over whole families of partitions and classes.
 They read characters by columns: the table and the dimension match read the
 column at `w0_class(m)`, and the sweep builds each class family's columns in
-one walk per n (`characters.mn_columns`, `hyperoctahedral.bn_columns`) and
-checks each pair by lookups, its basechange and shuffle sign read off
-bitmasks.  The sweep can farm the values of n out to worker processes; it
-imports `multiprocessing` only when it starts more than one, so a run that
-starts no pool does not pay for loading it.  The records are `NamedTuple`s
+one walk per n (`characters.mn_columns`, `hyperoctahedral.bn_columns`, both in
+the order of the partitions rho of n) and checks each pair by lookups, its
+basechange bitmask and shuffle sign read off its two quotient masks in one
+pass (`partitions._from_two_quotient`).  The sweep can farm the values of n
+out to worker processes; it imports `multiprocessing` only when it starts
+more than one, so a run that starts no pool does not pay for loading it.  The records are `NamedTuple`s
 and one plain class, not dataclasses, for the same reason.
 """
 
 from typing import NamedTuple
 
-from .partitions import Partition, _TARGET_CORES, _from_mask, _padded_mask, _quotient_mask, _two_quotient
-from .partitions import _target_core, beta_mask, partitions_of, sign_shuffle
+from .partitions import Partition, _TARGET_CORES, _from_mask, _from_two_quotient, _target_core, beta_mask
+from .partitions import partitions_of, sign_shuffle
 from .characters import even_cycle_classes, mn_character, mn_column, mn_columns
-from .hyperoctahedral import (
-    bipartitions_of,
-    basechange,
-    bn_character_bruteforce,
-    bn_columns,
-    bn_dimension,
-    norm,
-)
+from .hyperoctahedral import BiPartition, bipartitions_of, basechange, bn_character_bruteforce, bn_columns, bn_dimension
 
 
 def w0_class(m: int) -> Partition:
@@ -136,13 +130,16 @@ _ORACLE_MAX = 4  # the largest n whose B_n columns the sweep checks against the 
 
 
 def _sweep_n(n: int) -> SweepReport:
-    """The sweep at one n: the B_n columns in one walk for both targets, checked
-    against the oracle at every pair when n <= _ORACLE_MAX, the S_m columns in
-    one walk per target, and each pair's basechange bitmask and sign from its
-    masks; a Partition is built only to name a failure."""
+    """The sweep at one n: the B_n columns at (rho|()) in one walk for both
+    targets, checked against the oracle at every pair when n <= _ORACLE_MAX,
+    the S_m columns at 2rho (plus a fixed point) in one walk per target, both
+    in the order of the rho, and each pair's basechange bitmask and sign from
+    its masks; a Partition is built only to name a failure."""
     report = SweepReport()
-    pairs = [(pair, (beta_mask(pair.p0), beta_mask(pair.p1))) for pair in bipartitions_of(n)]
-    b_columns = bn_columns([norm(w, "even") for w in even_cycle_classes(2 * n)])
+    sized = [[(lam, beta_mask(lam)) for lam in partitions_of(k)] for k in range(n + 1)]
+    pairs = [(BiPartition(q0, q1), (mask0, mask1))  # in the order of bipartitions_of
+             for k in range(n + 1) for q0, mask0 in sized[k] for q1, mask1 in sized[n - k]]
+    b_columns = bn_columns([(rho, ()) for rho, _ in sized[n]])
     if n <= _ORACLE_MAX:
         for pair, key in pairs:
             for h, b_column in b_columns.items():
@@ -150,20 +147,18 @@ def _sweep_n(n: int) -> SweepReport:
                     report.failures.append("oracle mismatch: pair=%s class=%s" % (pair, h))
                 report.oracle_checked += 1
     for target, core in _TARGET_CORES.items():
-        m = 2 * n + core.size
-        s_columns = mn_columns(even_cycle_classes(m))
-        columns = [(w, s_columns[w], b_columns[norm(w, target)]) for w in s_columns]
-        core_mask = _padded_mask(beta_mask(core), core.size, 2)
+        odd_size = core.size
+        s_columns = mn_columns(even_cycle_classes(2 * n + odd_size))
+        columns = list(zip(s_columns, s_columns.values(), b_columns.values()))
         seen = {}
         for pair, key in pairs:
-            mask = _quotient_mask(core_mask, key)
+            mask, eps = _from_two_quotient(*key, odd_size)
             if mask in seen:
                 report.failures.append(
                     "basechange not injective: %s and %s both map to %s (target=%s)"
                     % (seen[mask], pair, _from_mask(mask), target)
                 )
             seen[mask] = pair
-            eps = _two_quotient(mask, m)[0]
             _sweep_one_bipartition(report, pair, key, target, mask, eps, columns)
     return report
 

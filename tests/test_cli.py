@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import octachar
-from octachar.cli import main
+from octachar.cli import CENSUS_MAX_M, main
 from octachar.partitions import format_partition, parse_partition, partitions_of
 from octachar.hyperoctahedral import bn_dimension, parse_bipartition
 
@@ -315,6 +315,21 @@ def test_huge_point_value_is_rejected_before_conversion(value):
     assert "exceeds 4300 digits" in proc.stderr
     assert len(proc.stderr) < 200  # the value is not echoed in full
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("m", [CENSUS_MAX_M + 1, 10**8])
+def test_census_past_the_limit_is_refused_before_work(m):
+    src = str(Path(octachar.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
+         "census", "--m", str(m)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: census --m %d exceeds the limit of %d\n" % (m, CENSUS_MAX_M)
 
 
 def test_class_past_the_recursion_limit_prints_its_value():

@@ -17,6 +17,9 @@ from octachar.partitions import (
     partitions_of,
     sign_shuffle,
     _from_mask,
+    _from_two_quotient,
+    _padded_mask,
+    _quotient_mask,
     _two_quotient,
 )
 
@@ -414,6 +417,19 @@ class TestSigns:
                     sign_shuffle_by_permutation(lam) or 0,
                     *p_quotient(lam, 2),
                 ), lam
+
+    @pytest.mark.parametrize("odd_size", [0, 1])
+    def test_from_two_quotient_inverts_the_split(self, odd_size):
+        # the basechange bitmask and its sign from the quotient masks in one pass,
+        # as the generic rebuild and then the runner split give them
+        core = _padded_mask(beta_mask(Partition([1] * odd_size)), odd_size, 2)
+        for n in range(13):
+            for k in range(n + 1):
+                for q0 in map(beta_mask, partitions_of(k)):
+                    for q1 in map(beta_mask, partitions_of(n - k)):
+                        mask = _quotient_mask(core, (q0, q1))
+                        expected = (mask, _two_quotient(mask, 2 * n + odd_size)[0])
+                        assert _from_two_quotient(q0, q1, odd_size) == expected, (q0, q1)
 
     def test_odd_parts_golden(self):
         assert sign_odd_parts(P("[1^8]")) == 1

@@ -166,6 +166,11 @@ class TestMainTheoremSweep:
         )
         assert report.oracle_checked > 0
 
+    def test_n10_counts(self):
+        # every class of every n <= 10, the oracle on the n <= 4 pairs only
+        report = main_theorem_sweep(10)
+        assert (report.checked, report.oracle_checked, report.failures) == (72_062, 142, [])
+
     def test_parallel_agrees(self):
         serial = main_theorem_sweep(2)
         parallel = main_theorem_sweep(2, jobs=2)
@@ -185,13 +190,13 @@ class TestSweepFailures:
     PAIR = bipartition([], [1, 1, 1, 1])  # basechange [2,1^6]; chi_[1^4] vanishes nowhere
 
     def wrong_sign(self, monkeypatch):
-        real, mask = verify._two_quotient, beta_mask(P("[2,1^6]"))
+        real, mask = verify._from_two_quotient, beta_mask(P("[2,1^6]"))
 
-        def flipped(m, size):
-            eps, q0, q1 = real(m, size)
-            return (-eps if m == mask else eps), q0, q1
+        def flipped(q0, q1, odd_size):
+            image, eps = real(q0, q1, odd_size)
+            return image, (-eps if image == mask else eps)
 
-        monkeypatch.setattr(verify, "_two_quotient", flipped)
+        monkeypatch.setattr(verify, "_from_two_quotient", flipped)
 
     def wrong_column_value(self, monkeypatch):
         real, w, mask = verify.mn_columns, P("[4,2,2]"), beta_mask(P("[2,1^6]"))
@@ -206,8 +211,12 @@ class TestSweepFailures:
 
     def colliding_basechange(self, monkeypatch):
         # ([]|[1]) is sent to the basechange of ([1]|[]) at both targets
-        real, mine, other = verify._quotient_mask, (0, beta_mask(P("[1]"))), (beta_mask(P("[1]")), 0)
-        monkeypatch.setattr(verify, "_quotient_mask", lambda core, masks: real(core, other if masks == mine else masks))
+        real, mine, other = verify._from_two_quotient, (0, beta_mask(P("[1]"))), (beta_mask(P("[1]")), 0)
+
+        def collide(q0, q1, odd_size):
+            return real(*(other if (q0, q1) == mine else (q0, q1)), odd_size)
+
+        monkeypatch.setattr(verify, "_from_two_quotient", collide)
 
     def wrong_split_weight(self, monkeypatch):
         # C(n, k) + 1 for 0 < k < n: sending one of the two 1-cycles of ([1^2]|[]) to B_1 weighs 3, not 2
