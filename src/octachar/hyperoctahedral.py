@@ -78,8 +78,9 @@ def bn_class(positive=(), negative=()) -> BnClass:
 def bipartitions_of(n: int):
     """All ordered pairs (p0, p1) with |p0| + |p1| = n."""
     for k in range(n + 1):
+        seconds = list(partitions_of(n - k))
         for q0 in partitions_of(k):
-            for q1 in partitions_of(n - k):
+            for q1 in seconds:
                 yield BiPartition(q0, q1)
 
 

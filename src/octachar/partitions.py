@@ -11,8 +11,9 @@ whole frontier {mask: value} by one hook length.  Quotients, the p-core
 (every runner flushed, which is what removing p-hooks one at a time leaves)
 and the shuffle sign are read off the p abacus runners of the mask (runner i
 holds the beads congruent to i mod p), and `_interleave` puts runners back
-together; at p = 2, `_from_two_quotient` reads a partition's bitmask and
-shuffle sign off its 2-quotient in one pass.  Padding length matters for the
+together, each runner's foot of beads as one block; at p = 2,
+`_from_two_quotient` reads a partition's bitmask and shuffle sign off the
+runners its 2-quotient builds.  Padding length matters for the
 p-quotient and for the shuffle sign, so the convention is fixed once here, in
 `_padded_mask`, which each of them calls on a bitmask:
 
@@ -82,18 +83,25 @@ def _target_core(target) -> Partition:
 
 
 def partitions_of(n: int):
-    """Yield all partitions of n in descending lexicographic order."""
+    """Yield all partitions of n in descending lexicographic order: each next
+    one lowers the last part above 1 by one and refills what is left after it
+    with the largest parts allowed."""
     if n < 0:
         raise ValueError("n must be non-negative")
-
-    def gen(remaining, max_part, prefix):
-        if remaining == 0:
-            yield _partition(prefix)
+    parts = [n] if n else []
+    while True:
+        yield _partition(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
             return
-        for v in range(min(max_part, remaining), 0, -1):
-            yield from gen(remaining - v, v, prefix + (v,))
-
-    yield from gen(n, n, ())
+        v = parts.pop() - 1
+        q, r = divmod(ones + 1, v)
+        parts += [v] * (q + 1)
+        if r:
+            parts.append(r)
 
 
 def partition_counts(n: int) -> list:
@@ -204,15 +212,36 @@ def _runners(mask: int, p: int) -> list:
     return runners
 
 
+def _foot(mask: int) -> int:
+    """Length of a bitmask's foot: its unbroken beads from bit 0 up."""
+    return (mask ^ (mask + 1)).bit_length() - 1
+
+
 def _interleave(runners) -> int:
-    """Inverse of `_runners`: bit j of runner i goes to bit p*j + i."""
+    """Inverse of `_runners`: bit j of runner i goes to bit p*j + i.  Each
+    runner's foot goes in as one block; only the beads above it are placed
+    one at a time (bit j to bit p*j is low ** p)."""
     p, mask = len(runners), 0
     for i, runner in enumerate(runners):
+        foot = _foot(runner)
+        mask |= ((1 << p * foot) - 1) // ((1 << p) - 1) << i
+        runner ^= (1 << foot) - 1
         while runner:
             low = runner & -runner
             runner ^= low
-            mask |= 1 << (p * (low.bit_length() - 1) + i)
+            mask |= low**p << i
     return mask
+
+
+def _quotient_runners(beads_on, masks) -> list:
+    """Runners of the partition with p-quotient bitmasks `masks` whose p-core
+    has beads_on[i] beads on runner i: each mask over a foot of beads, so that
+    every runner holds `top` beads more than the core's, `top` the least that
+    leaves no foot negative."""
+    lifts = [mask.bit_count() - k for k, mask in zip(beads_on, masks)]
+    top = max(0, max(lifts))
+    # ((mask + 1) << pad) - 1 is mask shifted up over pad beads at its foot
+    return [((mask + 1) << (top - lift)) - 1 for mask, lift in zip(masks, lifts)]
 
 
 def _quotient_mask(core: int, masks) -> int:
@@ -221,10 +250,8 @@ def _quotient_mask(core: int, masks) -> int:
     the bead count on each runner of `core` is read, so any mask with the
     core's counts will do (the masks [0] * p give the core itself)."""
     beads_on = [runner.bit_count() for runner in _runners(core, len(masks))]
-    extra = max(0, *(mask.bit_count() - k for k, mask in zip(beads_on, masks)))
-    # ((mask + 1) << pad) - 1 is mask shifted up over pad beads at its foot
-    merged = _interleave([((mask + 1) << (k + extra - mask.bit_count())) - 1 for k, mask in zip(beads_on, masks)])
-    return merged >> ((merged ^ (merged + 1)).bit_length() - 1)
+    merged = _interleave(_quotient_runners(beads_on, masks))
+    return merged >> _foot(merged)
 
 
 def _padded_mask(mask: int, size: int, p: int) -> int:
@@ -306,22 +333,12 @@ def _two_quotient(mask: int, size: int) -> tuple:
 
 def _from_two_quotient(q0: int, q1: int, odd_size: int) -> tuple:
     """Inverse of `_two_quotient`: (canonical bitmask, shuffle sign) of the
-    partition with 2-core () (`odd_size` 0) or (1) (`odd_size` 1) and
-    2-quotient bitmasks (q0, q1).  The runners are the ones `_quotient_mask`
-    builds, each quotient mask over a foot of beads, and the sign is read off
-    them before they are interleaved.  Only one runner has a foot, so only the
-    quotient beads are spread (bit j to bit 2j is low * low) and the foot is
-    added whole; one bead at 0 is left to shift out."""
-    pad = max(q0.bit_count(), q1.bit_count() - odd_size)
-    foot0, foot1 = pad - q0.bit_count(), pad + odd_size - q1.bit_count()
-    merged = ((1 << 2 * foot0) - 1) // 3 | ((1 << 2 * foot1) - 1) // 3 << 1  # the feet, interleaved
-    for runner, i in ((q0 << foot0, 0), (q1 << foot1, 1)):
-        while runner:
-            low = runner & -runner
-            runner ^= low
-            merged |= low * low << i
-    eps = _runner_sign(((q0 + 1) << foot0) - 1, ((q1 + 1) << foot1) - 1, odd_size)
-    return merged >> (merged & 1), eps
+    partition with 2-core () (`odd_size` 0) or (1) (`odd_size` 1, its one bead
+    on the odd runner) and 2-quotient bitmasks (q0, q1), both read off the
+    runners `_quotient_mask` interleaves."""
+    runners = _quotient_runners((0, odd_size), (q0, q1))
+    merged = _interleave(runners)
+    return merged >> _foot(merged), _runner_sign(*runners, odd_size)
 
 
 def _runner_sign(even: int, odd: int, odd_size: int) -> int:

@@ -3,13 +3,13 @@
 These drive the other modules over whole families of partitions and classes.
 They read characters by columns: the table and the dimension match read the
 column at `w0_class(m)`, and the sweep builds each class family's columns in
-one walk per n (`characters.mn_columns`, `hyperoctahedral.bn_columns`, both in
-the order of the partitions rho of n) and checks each pair by lookups, its
-basechange bitmask and shuffle sign read off its two quotient masks in one
-pass (`partitions._from_two_quotient`).  The sweep can farm the values of n
-out to worker processes; it imports `multiprocessing` only when it starts
-more than one, so a run that starts no pool does not pay for loading it.  The records are `NamedTuple`s
-and one plain class, not dataclasses, for the same reason.
+one walk per n (`characters.mn_columns`, `hyperoctahedral.bn_columns`) and
+checks each pair by lookups, its basechange bitmask and shuffle sign read off
+the runners its two quotient masks build (`partitions._from_two_quotient`).
+The sweep can farm the values of n out to worker processes; it imports
+`multiprocessing` only when it starts more than one, so a run that starts no
+pool does not pay for loading it.  The records are `NamedTuple`s and one
+plain class, not dataclasses, for the same reason.
 """
 
 from typing import NamedTuple
@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .partitions import Partition, _TARGET_CORES, _from_mask, _from_two_quotient, _target_core, beta_mask
 from .partitions import partitions_of, sign_shuffle
 from .characters import even_cycle_classes, mn_character, mn_column, mn_columns
-from .hyperoctahedral import BiPartition, bipartitions_of, basechange, bn_character_bruteforce, bn_columns, bn_dimension
+from .hyperoctahedral import bipartitions_of, basechange, bn_character_bruteforce, bn_columns, bn_dimension, norm
 
 
 def w0_class(m: int) -> Partition:
@@ -132,14 +132,14 @@ _ORACLE_MAX = 4  # the largest n whose B_n columns the sweep checks against the 
 def _sweep_n(n: int) -> SweepReport:
     """The sweep at one n: the B_n columns at (rho|()) in one walk for both
     targets, checked against the oracle at every pair when n <= _ORACLE_MAX,
-    the S_m columns at 2rho (plus a fixed point) in one walk per target, both
-    in the order of the rho, and each pair's basechange bitmask and sign from
-    its masks; a Partition is built only to name a failure."""
+    the S_m columns in one walk per target, each met with the B_n column at
+    its norm, and each pair's basechange bitmask and sign from its masks
+    (one `beta_mask` per partition); a Partition is built only to name a
+    failure."""
     report = SweepReport()
-    sized = [[(lam, beta_mask(lam)) for lam in partitions_of(k)] for k in range(n + 1)]
-    pairs = [(BiPartition(q0, q1), (mask0, mask1))  # in the order of bipartitions_of
-             for k in range(n + 1) for q0, mask0 in sized[k] for q1, mask1 in sized[n - k]]
-    b_columns = bn_columns([(rho, ()) for rho, _ in sized[n]])
+    mask_of = {lam: beta_mask(lam) for k in range(n + 1) for lam in partitions_of(k)}
+    pairs = [(pair, (mask_of[pair[0]], mask_of[pair[1]])) for pair in bipartitions_of(n)]
+    b_columns = bn_columns([(rho, ()) for rho in partitions_of(n)])
     if n <= _ORACLE_MAX:
         for pair, key in pairs:
             for h, b_column in b_columns.items():
@@ -149,7 +149,7 @@ def _sweep_n(n: int) -> SweepReport:
     for target, core in _TARGET_CORES.items():
         odd_size = core.size
         s_columns = mn_columns(even_cycle_classes(2 * n + odd_size))
-        columns = list(zip(s_columns, s_columns.values(), b_columns.values()))
+        columns = [(w, s_column, b_columns[norm(w, target)]) for w, s_column in s_columns.items()]
         seen = {}
         for pair, key in pairs:
             mask, eps = _from_two_quotient(*key, odd_size)

@@ -18,8 +18,6 @@ from octachar.partitions import (
     sign_shuffle,
     _from_mask,
     _from_two_quotient,
-    _padded_mask,
-    _quotient_mask,
     _two_quotient,
 )
 
@@ -68,6 +66,14 @@ class TestPartitionType:
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
         for n, count in enumerate(expected):
             assert sum(1 for _ in partitions_of(n)) == count
+
+    def test_enumeration_is_every_partition_in_descending_order(self):
+        # p(n) valid partitions of n, strictly descending, can only be all of them in order
+        counts = partition_counts(25)
+        for n in range(26):
+            lams = list(partitions_of(n))
+            assert all(type(lam) is Partition and lam == Partition(lam) and lam.size == n for lam in lams)
+            assert all(a > b for a, b in zip(lams, lams[1:])) and len(lams) == counts[n], n
 
     def test_partition_counts_match_enumeration(self):
         assert partition_counts(30) == [sum(1 for _ in partitions_of(n)) for n in range(31)]
@@ -420,16 +426,19 @@ class TestSigns:
 
     @pytest.mark.parametrize("odd_size", [0, 1])
     def test_from_two_quotient_inverts_the_split(self, odd_size):
-        # the basechange bitmask and its sign from the quotient masks in one pass,
-        # as the generic rebuild and then the runner split give them
-        core = _padded_mask(beta_mask(Partition([1] * odd_size)), odd_size, 2)
+        # the rebuilt bitmask is canonical, has the target's 2-core, and the runner
+        # split gives back the quotient and the sign, that of the permutation definition
+        core = Partition([1] * odd_size)
         for n in range(13):
             for k in range(n + 1):
-                for q0 in map(beta_mask, partitions_of(k)):
-                    for q1 in map(beta_mask, partitions_of(n - k)):
-                        mask = _quotient_mask(core, (q0, q1))
-                        expected = (mask, _two_quotient(mask, 2 * n + odd_size)[0])
-                        assert _from_two_quotient(q0, q1, odd_size) == expected, (q0, q1)
+                for q0 in partitions_of(k):
+                    for q1 in partitions_of(n - k):
+                        mask, eps = _from_two_quotient(beta_mask(q0), beta_mask(q1), odd_size)
+                        lam = _from_mask(mask)
+                        assert mask == beta_mask(lam) and lam.size == 2 * n + odd_size, (q0, q1)
+                        split, r0, r1 = _two_quotient(mask, lam.size)
+                        assert (split, _from_mask(r0), _from_mask(r1)) == (eps, q0, q1), (q0, q1)
+                        assert p_core(lam, 2) == core and eps == sign_shuffle_by_permutation(lam), (q0, q1)
 
     def test_odd_parts_golden(self):
         assert sign_odd_parts(P("[1^8]")) == 1
