@@ -10,7 +10,9 @@ is built, or a `schur` result whose numerator and denominator have more than
 100,000 digits together (`RESULT_DIGITS`; a shorter one prints in full, past
 the 4300-digit limit), or a `census --m` above 1,000 (`CENSUS_MAX_M`: the scan
 takes time about m^3.5, 8.4 s and 21 MB at m = 1,000 and 18.7 s at 1,200 on a
-2-vCPU x86-64 host), refused before any work.
+2-vCPU x86-64 host) or a `chartable M` above 27 (`CHARTABLE_MAX_M`: time and
+memory grow about 1.55x per step of M, 6.6 s and 252 MB at M = 26, 10.3 s and
+389 MB at 27, 16.1 s and 595 MB at 28 on the same host), refused before any work.
 Randomized verification commands print their seed in the report header.
 `sweep --jobs` (default 1) caps the worker processes, one value of n each, so
 at most min(jobs, max) start; `census` accepts `--jobs` and runs in one process.
@@ -50,7 +52,12 @@ def _cmd_char(args) -> int:
     return 0
 
 
+CHARTABLE_MAX_M = 27  # the largest chartable M; see the module docstring for its cost
+
+
 def _cmd_chartable(args) -> int:
+    if args.m > CHARTABLE_MAX_M:
+        raise ValueError("chartable %d exceeds the limit of %d" % (args.m, CHARTABLE_MAX_M))
     from .characters import character_table
 
     lams, classes, rows = character_table(args.m)

@@ -4,8 +4,8 @@ These drive the other modules over whole families of partitions and classes.
 They read characters by columns: the table and the dimension match read the
 column at `w0_class(m)`, and the sweep builds each class family's columns in
 one walk per n (`characters.mn_columns`, `hyperoctahedral.bn_columns`) and
-checks each pair by lookups, its basechange bitmask and shuffle sign read off
-the runners its two quotient masks build (`partitions._from_two_quotient`).
+compares each S_m column whole with the B_n column at its norm, re-keyed by
+basechange bitmask and signed (`partitions._from_two_quotient`).
 The sweep can farm the values of n out to worker processes; it imports
 `multiprocessing` only when it starts more than one, so a run that starts no
 pool does not pay for loading it.  The records are `NamedTuple`s and one
@@ -111,19 +111,15 @@ class SweepReport:
         return not self.failures
 
 
-def _sweep_one_bipartition(report, pair, key, target, mask, eps, columns):
-    """Check one pair (mask pair `key`, basechange bitmask `mask`, shuffle sign
-    `eps`) at every (w, S_m column at w, B_n column at norm w) of `columns`
-    into `report`."""
-    for w, s_column, b_column in columns:
-        lhs = s_column.get(mask, 0)
-        rhs_bn = b_column.get(key, 0)
-        if lhs != eps * rhs_bn:
-            report.failures.append(
-                "identity fails: pair=%s target=%s w=%s: %d != %d * %d"
-                % (pair, target, w, lhs, eps, rhs_bn)
-            )
-    report.checked += len(columns)
+def _sweep_one_bipartition(report, pair, key, target, odd_size, named) -> tuple:
+    """The per-pair step at one target: (basechange bitmask, shuffle sign) of
+    `pair` from its mask pair `key`, entered in `named` as mask -> (pair, key, eps)."""
+    mask, eps = _from_two_quotient(*key, odd_size)
+    if mask in named:
+        report.failures.append("basechange not injective: %s and %s both map to %s (target=%s)" % (
+            named[mask][0], pair, _from_mask(mask), target))
+    named[mask] = pair, key, eps
+    return mask, eps
 
 
 _ORACLE_MAX = 4  # the largest n whose B_n columns the sweep checks against the oracle
@@ -132,10 +128,10 @@ _ORACLE_MAX = 4  # the largest n whose B_n columns the sweep checks against the 
 def _sweep_n(n: int) -> SweepReport:
     """The sweep at one n: the B_n columns at (rho|()) in one walk for both
     targets, checked against the oracle at every pair when n <= _ORACLE_MAX,
-    the S_m columns in one walk per target, each met with the B_n column at
-    its norm, and each pair's basechange bitmask and sign from its masks
-    (one `beta_mask` per partition); a Partition is built only to name a
-    failure."""
+    and the S_m columns in one walk per target.  Each S_m column at w must equal
+    theta = {basechange mask of key: eps * value} over the B_n column at norm w,
+    so a value off the basechange image must be 0.  The masks where the two
+    differ fail in class order, then in bitmask order."""
     report = SweepReport()
     mask_of = {lam: beta_mask(lam) for k in range(n + 1) for lam in partitions_of(k)}
     pairs = [(pair, (mask_of[pair[0]], mask_of[pair[1]])) for pair in bipartitions_of(n)]
@@ -147,19 +143,22 @@ def _sweep_n(n: int) -> SweepReport:
                     report.failures.append("oracle mismatch: pair=%s class=%s" % (pair, h))
                 report.oracle_checked += 1
     for target, core in _TARGET_CORES.items():
-        odd_size = core.size
-        s_columns = mn_columns(even_cycle_classes(2 * n + odd_size))
-        columns = [(w, s_column, b_columns[norm(w, target)]) for w, s_column in s_columns.items()]
-        seen = {}
-        for pair, key in pairs:
-            mask, eps = _from_two_quotient(*key, odd_size)
-            if mask in seen:
-                report.failures.append(
-                    "basechange not injective: %s and %s both map to %s (target=%s)"
-                    % (seen[mask], pair, _from_mask(mask), target)
-                )
-            seen[mask] = pair
-            _sweep_one_bipartition(report, pair, key, target, mask, eps, columns)
+        named = {}
+        image = {key: _sweep_one_bipartition(report, pair, key, target, core.size, named) for pair, key in pairs}
+        s_columns = mn_columns(even_cycle_classes(2 * n + core.size))
+        for w, s_column in s_columns.items():
+            b_column = b_columns[norm(w, target)]
+            theta = {mask: eps * value for (mask, eps), value in zip(map(image.get, b_column), b_column.values())}
+            for mask in sorted({mask for mask, _ in theta.items() ^ s_column.items()}):
+                if mask in named:
+                    pair, key, eps = named[mask]
+                    failure = "identity fails: pair=%s target=%s w=%s: %d != %d * %d" % (
+                        pair, target, w, s_column.get(mask, 0), eps, b_column.get(key, 0))
+                else:
+                    failure = "identity fails: lambda=%s (no pair's basechange) target=%s w=%s: %d != 0" % (
+                        _from_mask(mask), target, w, s_column[mask])
+                report.failures.append(failure)
+        report.checked += len(pairs) * len(s_columns)
     return report
 
 
@@ -167,13 +166,14 @@ def main_theorem_sweep(n_max: int, jobs: int = 1) -> SweepReport:
     """Exhaustively check, for every bipartition of n <= n_max and every class w
     of S_2n / S_2n+1 that is a product of even cycles with at most one fixed
     point, that the character of the basechanged irreducible at w equals the
-    shuffle sign times the B_n character at the norm of w.
+    shuffle sign times the B_n character at the norm of w, and that every
+    irreducible which is no pair's basechange vanishes at w.
 
     Both sides are read from columns built by adding rim hooks; for n <= 4
     every B_n column is also cross-checked against the explicit group-sum
     oracle at every bipartition.  Basechange injectivity is asserted over the
-    whole range.  Failures are collected, not raised; an empty range
-    (n_max < 1) raises ValueError.
+    whole range.  Failures are collected (for each n and target in class
+    order, then bitmask order), not raised; n_max < 1 raises ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %d" % n_max)

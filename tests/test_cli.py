@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import octachar
-from octachar.cli import CENSUS_MAX_M, main
+from octachar.cli import CENSUS_MAX_M, CHARTABLE_MAX_M, main
 from octachar.partitions import format_partition, parse_partition, partitions_of
 from octachar.hyperoctahedral import bn_dimension, parse_bipartition
 
@@ -246,6 +246,10 @@ class TestCensusSweepDims:
         expected = "5604 total, 1978 positive, 1978 negative, 1648 zero\n"
         assert run(capsys, "census", "--m", "30", "--jobs", "2") == (0, expected, "")
 
+    def test_sweep_bench_command_line(self, capsys):
+        expected = "sweep: max=7 jobs=1\nchecked 5518 identities (142 against the group-sum oracle): PASS\n"
+        assert run(capsys, "sweep", "--max", "7", "--jobs", "1") == (0, expected, "")
+
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--max", "2")
         assert code == 0
@@ -330,6 +334,21 @@ def test_census_past_the_limit_is_refused_before_work(m):
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: census --m %d exceeds the limit of %d\n" % (m, CENSUS_MAX_M)
+
+
+@pytest.mark.parametrize("m", [CHARTABLE_MAX_M + 1, 10**8])
+def test_chartable_past_the_limit_is_refused_before_work(m):
+    src = str(Path(octachar.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
+         "chartable", str(m)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: chartable %d exceeds the limit of %d\n" % (m, CHARTABLE_MAX_M)
 
 
 def test_class_past_the_recursion_limit_prints_its_value():

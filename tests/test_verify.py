@@ -182,10 +182,10 @@ class TestMainTheoremSweep:
 
 
 class TestSweepFailures:
-    """A wrong sign, a wrong column value, a colliding basechange and a wrong
-    split weight in the oracle each show up as failure records that name the pair
-    and the class (or the partition two pairs share), and make `octachar sweep`
-    exit 1 with FAIL lines and no PASS."""
+    """A wrong sign, a wrong column value, a colliding basechange, a wrong
+    split weight in the oracle and a nonzero value off the basechange image
+    each show up as failure records that name the pair (or the partition) and
+    the class, and make `octachar sweep` exit 1 with FAIL lines and no PASS."""
 
     PAIR = bipartition([], [1, 1, 1, 1])  # basechange [2,1^6]; chi_[1^4] vanishes nowhere
 
@@ -218,6 +218,18 @@ class TestSweepFailures:
 
         monkeypatch.setattr(verify, "_from_two_quotient", collide)
 
+    def off_image_value(self, monkeypatch):
+        # [3,2,1] is its own 2-core, so it is no pair's basechange and must vanish at [2^3]
+        real, w, mask = verify.mn_columns, P("[2^3]"), beta_mask(P("[3,2,1]"))
+
+        def planted(classes):
+            columns = real(classes)
+            if w in columns:
+                columns[w] = {**columns[w], mask: 1}
+            return columns
+
+        monkeypatch.setattr(verify, "mn_columns", planted)
+
     def wrong_split_weight(self, monkeypatch):
         # C(n, k) + 1 for 0 < k < n: sending one of the two 1-cycles of ([1^2]|[]) to B_1 weighs 3, not 2
         monkeypatch.setattr(hyperoctahedral, "comb", lambda n, k: comb(n, k) + (0 < k < n))
@@ -239,6 +251,37 @@ class TestSweepFailures:
         assert len(report.failures) == 1
         assert report.failures[0].startswith("identity fails: pair=%s target=even w=[4,2^2]: " % (self.PAIR,))
 
+    def test_off_image_value_names_the_partition(self, monkeypatch):
+        self.off_image_value(monkeypatch)
+        assert main_theorem_sweep(3).failures == [
+            "identity fails: lambda=[3,2,1] (no pair's basechange) target=even w=[2^3]: 1 != 0"
+        ]
+
+    def test_failures_come_in_class_then_bitmask_order(self, monkeypatch):
+        # every sign flipped: each nonzero cell fails, for each n and target by class, then by bitmask
+        real = verify._from_two_quotient
+
+        def flipped(q0, q1, odd_size):
+            image, eps = real(q0, q1, odd_size)
+            return image, -eps
+
+        monkeypatch.setattr(verify, "_from_two_quotient", flipped)
+        expected = []
+        for n in (1, 2, 3):
+            for target in ("even", "odd"):
+                pair_of = {beta_mask(basechange(pair, target)): pair for pair in bipartitions_of(n)}
+                for w in even_cycle_classes(2 * n + (target == "odd")):
+                    for mask in sorted(pair_of):
+                        pair = pair_of[mask]
+                        lam = basechange(pair, target)
+                        if mn_character(lam, w):
+                            expected.append(
+                                "identity fails: pair=%s target=%s w=%s: %d != %d * %d"
+                                % (pair, target, w, mn_character(lam, w), -sign_shuffle(lam), bn_character(pair, norm(w)))
+                            )
+        assert len(expected) > 20
+        assert main_theorem_sweep(3).failures == expected
+
     def test_colliding_basechange_names_both_pairs(self, monkeypatch):
         self.colliding_basechange(monkeypatch)
         report = main_theorem_sweep(1)
@@ -256,7 +299,9 @@ class TestSweepFailures:
         assert "oracle mismatch: pair=([1]|[1]) class=([1^2]|[])" in report.failures
         assert all(failure.startswith("oracle mismatch: ") for failure in report.failures)
 
-    @pytest.mark.parametrize("fault", ["wrong_sign", "wrong_column_value", "colliding_basechange", "wrong_split_weight"])
+    @pytest.mark.parametrize(
+        "fault", ["wrong_sign", "wrong_column_value", "colliding_basechange", "wrong_split_weight", "off_image_value"]
+    )
     def test_cli_exits_1_with_fail_lines(self, fault, monkeypatch, capsys):
         getattr(self, fault)(monkeypatch)
         assert main(["sweep", "--max", "4"]) == 1
