@@ -3,13 +3,11 @@ on the involution class.
 
 The census reads no character: by the paper's identity the sign at the
 involution class (`verify.w0_class(m)`) is a shuffle sign, so it counts
-2-quotient pairs by that sign.  It needs only the partition counts, so a
-census loads no character, hyperoctahedral or harness code.
+2-quotient pairs by that sign.  It needs only the number of partitions of m,
+which it counts itself, so a census loads no other module of the library.
 """
 
 from typing import NamedTuple
-
-from .partitions import partition_counts
 
 
 class SignCensus(NamedTuple):
@@ -43,7 +41,7 @@ def sign_census(m: int) -> SignCensus:
     if m < 2:
         raise ValueError("m must be at least 2")
     n, odd = divmod(m, 2)
-    total = partition_counts(m)[m]
+    total = _partition_count(m)
     width = total.bit_length() + 1  # a slot counts at most p(m) quotient pairs
     keep = [(1 << width * (n + 1 - forced)) - 1 for forced in range(n + 1)]  # slots 0..n-forced
     states = {(0, 0, 0): 1}
@@ -51,22 +49,34 @@ def sign_census(m: int) -> SignCensus:
         for runner, offset in ((0, 0), (1, odd)):
             empty = x < offset  # the empty diagram has a bead at x
             holes = max(x - offset, 0)  # and this many holes below x in the window
+            below = min(x, odd) + n + 1  # q1 beads below x in the empty diagram
             layer = {}
-            for key, counts in states.items():
-                missing = key[runner]
+            for (missing0, missing1, parity), counts in states.items():
+                missing = missing1 if runner else missing0
                 for bead in (0, 1):
-                    state = list(key)
-                    state[runner] = missing + empty - bead
-                    forced = state[0] ** 2 + state[1] ** 2
-                    if state[runner] < 0 or forced > n:
+                    left = missing + empty - bead
+                    if left < 0:
+                        continue
+                    if runner:
+                        state, forced = (missing0, left, parity), missing0 * missing0 + left * left
+                    else:  # a q0 bead crosses every q1 bead below x
+                        state = (left, missing1, parity ^ ((below - missing1) & 1) if bead else parity)
+                        forced = left * left + missing1 * missing1
+                    if forced > n:
                         continue
                     moved = (counts << width * (holes + missing) if bead else counts) & keep[forced]
-                    if bead and not runner:  # a q0 bead crosses every q1 bead below x
-                        state[2] ^= (min(x, odd) + n + 1 - key[1]) & 1
                     if moved:
-                        state = tuple(state)
                         layer[state] = layer.get(state, 0) + moved
             states = layer
     empty_parity = n * (n + 1) // 2 & 1
     pos, neg = (states.get((0, 0, parity), 0) >> width * n for parity in (empty_parity, 1 - empty_parity))
     return SignCensus(m, pos, neg, total - pos - neg)
+
+
+def _partition_count(m: int) -> int:
+    """p(m), by the recurrence of `partitions.partition_counts`."""
+    counts = [1] + [0] * m
+    for part in range(1, m + 1):
+        for k in range(part, m + 1):
+            counts[k] += counts[k - part]
+    return counts[m]

@@ -12,13 +12,16 @@ the 4300-digit limit), or a `census --m` above 1,000 (`CENSUS_MAX_M`: the scan
 takes time about m^3.5, 8.4 s and 21 MB at m = 1,000 and 18.7 s at 1,200 on a
 2-vCPU x86-64 host) or a `chartable M` above 27 (`CHARTABLE_MAX_M`: time and
 memory grow about 1.55x per step of M, 6.6 s and 252 MB at M = 26, 10.3 s and
-389 MB at 27, 16.1 s and 595 MB at 28 on the same host), refused before any work.
+389 MB at 27, 16.1 s and 595 MB at 28 on the same host) or a `sweep --max`
+above 16 (`SWEEP_MAX`: 6.2 s and 169 MB at 16, 13.8 s and 309 MB at 17 at
+--jobs 1) or a `table --n` above 16 (`TABLE_MAX_N`: time grows about 1.8x per
+step of n, 7.4 s at 16 and 13.9 s at 17, in 25 MB), refused before any work.
 Randomized verification commands print their seed in the report header.
 `sweep --jobs` (default 1) caps the worker processes, one value of n each, so
 at most min(jobs, max) start; `census` accepts `--jobs` and runs in one process.
-A command imports only the layers it runs: this module loads partitions,
-which every layer imports, and each handler imports the layers it runs
-itself; tests/test_startup.py pins which.
+A command imports only the layers it runs: this module imports none at load,
+and each handler imports the layers it runs itself, `partitions` included
+where it uses it; tests/test_startup.py pins which.
 
 The command line is read from `_COMMANDS`, one table that dispatch reads too:
 the command name, then its positionals in order and its options in any order,
@@ -33,7 +36,11 @@ and `octachar: error: ...` to stderr and raises SystemExit(2).
 import sys
 from types import SimpleNamespace
 
-from .partitions import Partition, PartitionParseError, _TARGET_CORES, format_partition, parse_partition, partition_counts
+
+def _refuse_above(limit: int, value: int, what: str) -> None:
+    """Refuse a size above its stated limit, before the command loads or runs anything."""
+    if value > limit:
+        raise ValueError("%s %d exceeds the limit of %d" % (what, value, limit))
 
 
 def _jobs_value(value) -> int:
@@ -45,6 +52,7 @@ def _jobs_value(value) -> int:
 
 def _cmd_char(args) -> int:
     from .characters import mn_character
+    from .partitions import parse_partition
 
     lam = parse_partition(args.lam)
     rho = parse_partition(args.rho)
@@ -56,9 +64,9 @@ CHARTABLE_MAX_M = 27  # the largest chartable M; see the module docstring for it
 
 
 def _cmd_chartable(args) -> int:
-    if args.m > CHARTABLE_MAX_M:
-        raise ValueError("chartable %d exceeds the limit of %d" % (args.m, CHARTABLE_MAX_M))
+    _refuse_above(CHARTABLE_MAX_M, args.m, "chartable")
     from .characters import character_table
+    from .partitions import format_partition
 
     lams, classes, rows = character_table(args.m)
     print("\t".join(["partition"] + [format_partition(c) for c in classes]))
@@ -69,6 +77,7 @@ def _cmd_chartable(args) -> int:
 
 def _cmd_basechange(args) -> int:
     from .hyperoctahedral import basechange, parse_bipartition
+    from .partitions import format_partition
 
     pair = parse_bipartition(args.pair)
     print(format_partition(basechange(pair, args.target)))
@@ -77,6 +86,7 @@ def _cmd_basechange(args) -> int:
 
 def _cmd_norm(args) -> int:
     from .hyperoctahedral import norm
+    from .partitions import parse_partition
 
     print(norm(parse_partition(args.w), args.target))
     return 0
@@ -95,6 +105,8 @@ def _point_value(tok: str) -> "Fraction":
     its result could not be printed, and 1e200000000 would take minutes."""
     from fractions import Fraction
 
+    from .partitions import PartitionParseError
+
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     mantissa, _, exponent = tok.lower().partition("e")
     exponent = "".join(c for c in exponent if c.isdecimal()).lstrip("0")
@@ -111,6 +123,7 @@ def _point_value(tok: str) -> "Fraction":
 
 
 def _cmd_schur(args) -> int:
+    from .partitions import parse_partition
     from .symfunc import schur_eval
 
     lam = parse_partition(args.lam)
@@ -156,7 +169,12 @@ def _cmd_verify(args) -> int:
 _TABLE_COLUMNS = ("lambda_even", "theta_even", "theta_odd", "lambda_odd", "sign", "bn_dim")  # the TSV order
 
 
+TABLE_MAX_N = 16  # the largest table --n; see the module docstring for its cost
+
+
 def _cmd_table(args) -> int:
+    _refuse_above(TABLE_MAX_N, args.n, "table --n")
+    from .partitions import Partition, format_partition
     from .verify import build_table
 
     result = build_table(args.n)
@@ -180,8 +198,7 @@ CENSUS_MAX_M = 1_000  # the largest census --m; see the module docstring for its
 
 
 def _cmd_census(args) -> int:
-    if args.m > CENSUS_MAX_M:
-        raise ValueError("census --m %d exceeds the limit of %d" % (args.m, CENSUS_MAX_M))
+    _refuse_above(CENSUS_MAX_M, args.m, "census --m")
     from .census import sign_census
 
     census = sign_census(args.m)
@@ -192,7 +209,11 @@ def _cmd_census(args) -> int:
     return 0
 
 
+SWEEP_MAX = 16  # the largest sweep --max; see the module docstring for its cost
+
+
 def _cmd_sweep(args) -> int:
+    _refuse_above(SWEEP_MAX, args.max, "sweep --max")
     from .verify import main_theorem_sweep
 
     report = main_theorem_sweep(args.max, jobs=args.jobs)
@@ -207,6 +228,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    from .partitions import partition_counts
     from .verify import dimension_match
 
     ok = dimension_match(args.n, args.target)
@@ -220,7 +242,7 @@ def _cmd_dims(args) -> int:
 
 
 _REQUIRED = object()  # the default of an argument that must be given
-_TARGET = tuple(_TARGET_CORES)
+_TARGET = ("even", "odd")  # the keys of partitions._TARGET_CORES
 _HELP = ("--help", bool, False, "show this help and exit")  # every command's -h / --help
 
 # name: (handler, help, arguments as (name, type, default, help)), positionals first.
@@ -342,7 +364,7 @@ def main(argv=None) -> int:
     args = SimpleNamespace(**_read(argv[1:], name))
     try:
         return _COMMANDS[name][0](args)
-    except (PartitionParseError, ValueError) as exc:
+    except ValueError as exc:  # PartitionParseError among them
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -8,8 +8,8 @@ integer numerators and denominators, are e_0(c)..e_d(c) (one pass over the
 coordinates) and h_0(c), h_1(c), ... up to the largest index a call has
 needed (h_k = sum_i (-1)^(i-1) e_i h_(k-i)).  A value is then
 det[h_(lam_i - i + j)] of order l(lam), or det[e_(lam'_i - i + j)] of order
-lam_1, whichever is smaller, by fraction-free (Bareiss) elimination, and one
-Fraction.  Cost model: O(d (lam_1 + l)) big-int steps per point for h, then
+lam_1, whichever is smaller, by fraction-free (Bareiss) elimination: an int at
+an integer point, and one Fraction at any other.  Cost model: O(d (lam_1 + l)) big-int steps per point for h, then
 one determinant of order min(l, lam_1) per value; a long row in few
 variables pays for every h_k below its length (h is kept up to `_H_KEPT`
 entries per point, and past that only the last d values are held).
@@ -18,7 +18,11 @@ functions of one size over one denominator, from one `characters.mn_columns`
 walk per size; only those weights load the character walk, so a Schur value
 or a Littlewood factorization loads no character code.  No symbolic
 polynomial ring is involved: both sides of an identity are evaluated exactly
-at seeded random rational points.  A mismatch refutes the identity;
+at seeded random rational points.  Both sides of each identity are
+homogeneous of degree |lam|, so a sweep clears each point's denominators
+once and checks the identity at the integer point c = L x, where it holds
+exactly when it holds at x; the checks then build no Fraction, and a
+failure still prints the rational point x.  A mismatch refutes the identity;
 agreement is evidence, not a decision (Schwartz-Zippel bounds the chance
 that a false identity holds at a random point).  Both
 Littlewood factorizations take the shuffle sign and the 2-quotient of lam
@@ -34,7 +38,6 @@ at every point, the mirrored points (X, -X) and (X, -X, x) included.
 """
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
@@ -70,8 +73,10 @@ def _det_int_bareiss(m: list) -> int:
     return sign * rows[0][0]
 
 
-def det(rows) -> Fraction:
+def det(rows) -> "Fraction":
     """Exact determinant of a square matrix of rationals."""
+    from fractions import Fraction
+
     rows = [[Fraction(v) for v in row] for row in rows]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError(
@@ -87,13 +92,19 @@ def det(rows) -> Fraction:
     return Fraction(_det_int_bareiss(cleared)) / scale
 
 
-def schur_eval(lam, values) -> Fraction:
-    """Schur polynomial s_lam at the given point, as an exact rational."""
+def schur_eval(lam, values):
+    """Schur polynomial s_lam at the given point, as an exact rational: an int
+    when every coordinate is an int, a Fraction otherwise."""
     lam = Partition(lam)
-    vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-    scale, e, h = _point(tuple(v.numerator for v in vals), tuple(v.denominator for v in vals))
+    values = tuple(values)
+    integral = all(type(v) is int for v in values)
+    if not integral:
+        from fractions import Fraction
+
+        values = [v if type(v) is Fraction else Fraction(v) for v in values]
+    scale, e, h = _point(tuple(v.numerator for v in values), tuple(v.denominator for v in values))
     if not lam:
-        return Fraction(1)
+        return 1 if integral else Fraction(1)
     if len(lam) <= lam[0]:  # det[h_(lam_i - i + j)], of order l(lam)
         parts = lam
         entries = _complete(e, h, {k for r, v in enumerate(lam) for k in range(max(0, v - r), v - r + len(lam))})
@@ -102,7 +113,8 @@ def schur_eval(lam, values) -> Fraction:
         entries = dict(enumerate(e))
     order = range(len(parts))
     minor = [[entries.get(part - r + c, 0) for c in order] for r, part in enumerate(parts)]
-    return Fraction(_det_int_bareiss(minor), scale**lam.size)
+    value = _det_int_bareiss(minor)
+    return value if integral else Fraction(value, scale**lam.size)
 
 
 @lru_cache(maxsize=64)
@@ -149,13 +161,13 @@ def _complete(e: list, h: list, wanted: set) -> dict:
 
 def mirrored_point(xs) -> tuple:
     """(x_1..x_m, -x_1..-x_m)."""
-    xs = tuple(Fraction(v) for v in xs)
+    xs = tuple(xs)
     return xs + tuple(-v for v in xs)
 
 
 def mirrored_point_plus(xs, x) -> tuple:
     """(x_1..x_m, -x_1..-x_m, x)."""
-    return mirrored_point(xs) + (Fraction(x),)
+    return mirrored_point(xs) + (x,)
 
 
 def _frobenius_weights(size: int, points) -> list:
@@ -193,10 +205,10 @@ def verify_frobenius(lam, values, *, weights=None) -> bool:
     """
     lam = Partition(lam)
     if weights is None:
-        values = tuple(Fraction(v) for v in values)
+        values = tuple(values)
         [weights] = _frobenius_weights(lam.size, [values])
     expansion, denominator = weights
-    return schur_eval(lam, values) == Fraction(expansion.get(beta_mask(lam), 0), denominator)
+    return schur_eval(lam, values) * denominator == expansion.get(beta_mask(lam), 0)
 
 
 def verify_factorization_even(lam, xs, *, point=None, squares=None) -> bool:
@@ -213,7 +225,7 @@ def verify_factorization_even(lam, xs, *, point=None, squares=None) -> bool:
     if lam.size % 2 or not eps:
         return value == 0
     if squares is None:
-        squares = [Fraction(v) ** 2 for v in xs]
+        squares = [v * v for v in xs]
     return value == eps * schur_eval(_from_mask(q0), squares) * schur_eval(_from_mask(q1), squares)
 
 
@@ -232,9 +244,9 @@ def verify_factorization_odd(lam, xs, x, *, point=None, squares=None) -> bool:
     if not eps:
         return value == 0
     if squares is None:
-        squares = [Fraction(v) ** 2 for v in (*xs, x)]
+        squares = [v * v for v in (*xs, x)]
     rhs = eps * schur_eval(_from_mask(q0), squares[:-1]) * schur_eval(_from_mask(q1), squares)
-    return value == (rhs * Fraction(x) if lam.size % 2 else rhs)
+    return value == (rhs * x if lam.size % 2 else rhs)
 
 
 def random_rationals(count: int, rng: random.Random, max_height: int = 20) -> list:
@@ -243,6 +255,11 @@ def random_rationals(count: int, rng: random.Random, max_height: int = 20) -> li
     The kernel takes any point; the sweeps still draw generic ones, where a
     false identity is less likely to hold by accident (at x_i = 0 or
     x_i = -x_j many terms drop out of both sides)."""
+    return _rationals(_draw(count, rng, max_height))
+
+
+def _draw(count: int, rng: random.Random, max_height: int = 20) -> list:
+    """The draws of `random_rationals` as reduced int pairs (a, b), b > 0, with the sign on a."""
     # a/1 and 1/a alone give 2 * max_height - 1 values; count the rest only
     # when a request could exceed them, so the count costs no more than the draws.
     if count > 2 * max_height - 1:
@@ -256,14 +273,28 @@ def random_rationals(count: int, rng: random.Random, max_height: int = 20) -> li
     out = []
     seen = set()
     while len(out) < count:
-        v = Fraction(rng.randint(1, max_height), rng.randint(1, max_height))
-        if rng.random() < 0.5:
-            v = -v
-        if abs(v) in seen:
+        a, b = rng.randint(1, max_height), rng.randint(1, max_height)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        sign = -1 if rng.random() < 0.5 else 1
+        if (a, b) in seen:
             continue
-        seen.add(abs(v))
-        out.append(v)
+        seen.add((a, b))
+        out.append((sign * a, b))
     return out
+
+
+def _rationals(draws) -> list:
+    """The draws as Fractions a/b."""
+    from fractions import Fraction
+
+    return [Fraction(a, b) for a, b in draws]
+
+
+def _cleared(draws) -> list:
+    """The point of `draws` (x_i = a_i/b_i) times L = lcm(b_i): the integers c_i = a_i L / b_i."""
+    scale = lcm(*(b for _, b in draws))
+    return [a * (scale // b) for a, b in draws]
 
 
 # -- sweep drivers shared by the CLI and the test suite ----------------------
@@ -284,13 +315,14 @@ def frobenius_sweep(max_size: int, seed: int) -> int:
     rng = random.Random(seed)
     checked = 0
     for m in range(1, max_size + 1):
-        points = [random_rationals(m, rng) for _ in range(_POINTS_PER_SIZE)]
+        draws = [_draw(m, rng) for _ in range(_POINTS_PER_SIZE)]
+        points = [_cleared(draw) for draw in draws]
         weights = _frobenius_weights(m, points)
         for lam in partitions_of(m):
-            for point, point_weights in zip(points, weights):
+            for draw, point, point_weights in zip(draws, points, weights):
                 if not verify_frobenius(lam, point, weights=point_weights):
                     raise SweepFailure(
-                        "frobenius failed at lam=%s point=%s" % (lam, point)
+                        "frobenius failed at lam=%s point=%s" % (lam, _rationals(draw))
                     )
                 checked += 1
     return checked
@@ -304,12 +336,13 @@ def factorization_even_sweep(max_n: int, seed: int) -> int:
     rng = random.Random(seed)
     checked = 0
     for n in range(1, max_n + 1):
-        xs = random_rationals(n, rng)
+        draw = _draw(n, rng)
+        xs = _cleared(draw)
         point, squares = mirrored_point(xs), [v * v for v in xs]
         for lam in partitions_of(2 * n):
             if not verify_factorization_even(lam, xs, point=point, squares=squares):
                 raise SweepFailure(
-                    "even factorization failed at lam=%s X=%s" % (lam, xs)
+                    "even factorization failed at lam=%s X=%s" % (lam, _rationals(draw))
                 )
             checked += 1
     return checked
@@ -327,14 +360,16 @@ def factorization_odd_sweep(max_n: int, seed: int) -> tuple:
     rng = random.Random(seed)
     checked, hits = 0, [0, 0]  # lam with a nonvanishing branch, by the parity of |lam|
     for n in range(1, max_n + 1):
-        values = random_rationals(n + 1, rng)
+        draw = _draw(n + 1, rng)
+        values = _cleared(draw)
         xs, x = values[:n], values[n]
         point, squares = mirrored_point_plus(xs, x), [v * v for v in values]
         for size in (2 * n + 1, 2 * n):
             for lam in partitions_of(size):
                 if not verify_factorization_odd(lam, xs, x, point=point, squares=squares):
+                    rationals = _rationals(draw)
                     raise SweepFailure(
-                        "odd factorization failed at lam=%s X=%s x=%s" % (lam, xs, x)
+                        "odd factorization failed at lam=%s X=%s x=%s" % (lam, rationals[:n], rationals[n])
                     )
                 checked += 1
                 if _two_quotient(beta_mask(lam), size)[0]:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import shlex
 import subprocess
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import octachar
-from octachar.cli import CENSUS_MAX_M, CHARTABLE_MAX_M, main
+from octachar import cli, partitions
+from octachar.cli import CENSUS_MAX_M, CHARTABLE_MAX_M, SWEEP_MAX, TABLE_MAX_N, main
 from octachar.partitions import format_partition, parse_partition, partitions_of
+from octachar.symfunc import random_rationals
 from octachar.hyperoctahedral import bn_dimension, parse_bipartition
 
 
@@ -172,7 +175,7 @@ class TestVerifyCommands:
         assert (code, err) == (1, "")
         header, failure = out.splitlines()
         assert header == "verify frobenius: max-size=1 seed=0"
-        assert failure.startswith("FAIL: frobenius failed at lam=[1] point=")
+        assert failure == "FAIL: frobenius failed at lam=[1] point=%s" % random_rationals(1, random.Random(0))
 
 
 TABLE_N2_TSV = (
@@ -349,6 +352,54 @@ def test_chartable_past_the_limit_is_refused_before_work(m):
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: chartable %d exceeds the limit of %d\n" % (m, CHARTABLE_MAX_M)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--max", str(SWEEP_MAX + 1)], "sweep --max %d" % (SWEEP_MAX + 1)),
+        (["sweep", "--max", str(10**8), "--jobs", "2"], "sweep --max %d" % 10**8),
+        (["table", "--n", str(TABLE_MAX_N + 1)], "table --n %d" % (TABLE_MAX_N + 1)),
+        (["table", "--n", str(10**8), "--json"], "table --n %d" % 10**8),
+    ],
+    ids=" ".join,
+)
+def test_sweep_and_table_past_the_limit_are_refused_before_work(argv, message):
+    limit = SWEEP_MAX if argv[0] == "sweep" else TABLE_MAX_N
+    src = str(Path(octachar.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from octachar.cli import main; code = main(sys.argv[1:]); "
+         "print('octachar.verify' in sys.modules); sys.exit(code)", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "False\n")
+    assert proc.stderr == "error: %s exceeds the limit of %d\n" % (message, limit)
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [(["sweep", "--max", str(SWEEP_MAX)], "main_theorem_sweep"), (["table", "--n", str(TABLE_MAX_N)], "build_table")],
+    ids=" ".join,
+)
+def test_sweep_and_table_at_the_limit_run(monkeypatch, capsys, argv, target):
+    calls = []
+
+    def stop(n, **kwargs):
+        calls.append(n)
+        raise ValueError("stopped")
+
+    monkeypatch.setattr("octachar.verify." + target, stop)
+    assert run(capsys, *argv) == (2, "", "error: stopped\n")
+    assert calls == [int(argv[-1])]
+
+
+def test_target_choices_are_the_target_cores():
+    # cli spells the choices out, so that it imports no partitions at load
+    assert cli._TARGET == tuple(partitions._TARGET_CORES)
 
 
 def test_class_past_the_recursion_limit_prints_its_value():

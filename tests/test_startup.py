@@ -22,7 +22,8 @@ RUN_MAIN = "import sys; from octachar.cli import main; code = main(sys.argv[1:])
 
 CORE = {"octachar", "octachar.cli", "octachar.partitions"}
 CHARACTERS = CORE | {"octachar.characters"}
-SYMFUNC = CORE | {"octachar.symfunc", "fractions", "random"}
+SYMFUNC = CORE | {"octachar.symfunc", "random"}  # its checks run at integer points
+FRACTIONS = {"fractions", "decimal"}
 HYPEROCTAHEDRAL = CHARACTERS | {"octachar.hyperoctahedral"}
 HARNESS = HYPEROCTAHEDRAL | {"octachar.verify"}
 
@@ -39,8 +40,8 @@ def _loaded(*args) -> set:
 
 
 def _layers(modules: set) -> set:
-    """The octachar modules among `modules`, with `fractions` and `random`."""
-    return {name for name in modules if name.partition(".")[0] in ("octachar", "fractions", "random")}
+    """The octachar modules among `modules`, with `fractions`, `decimal` and `random`."""
+    return {name for name in modules if name.partition(".")[0] in ("octachar", "fractions", "decimal", "random")}
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +79,11 @@ LAYERS_BY_COMMAND = {
     "verify frobenius --max-size 2": SYMFUNC | {"octachar.characters"},
     "verify even-fact --max-size 2": SYMFUNC,
     "verify odd-fact --max-size 2": SYMFUNC,
-    "schur [2,1] --at 1,2,3": SYMFUNC,
+    "schur [2,1] --at 1,2,3": SYMFUNC | FRACTIONS,
     "basechange ([1]|[1]) --target even": HYPEROCTAHEDRAL,
     "norm [4,2]": HYPEROCTAHEDRAL,
     "sweep --max 2 --jobs 1": HARNESS,
-    "census --m 6": CORE | {"octachar.census"},
+    "census --m 6": {"octachar", "octachar.cli", "octachar.census"},
     "table --n 2": HARNESS,
     "dims --n 2 --target even": HARNESS,
 }
@@ -125,6 +126,6 @@ def test_guard_sees_argparse(baseline):
 def test_guard_sees_a_layer(baseline):
     """Touching one exported name loads its layer and the layers under it."""
     loaded = _loaded("import sys, octachar; octachar.sign_census; " + LIST_MODULES) - baseline
-    assert _layers(loaded) == {"octachar", "octachar.census", "octachar.partitions"}
+    assert _layers(loaded) == {"octachar", "octachar.census"}
     loaded = _loaded("import sys, octachar; octachar.main_theorem_sweep; " + LIST_MODULES) - baseline
     assert _layers(loaded) == HARNESS - {"octachar.cli"}

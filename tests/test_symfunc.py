@@ -1,7 +1,7 @@
 import gc
 import random
 import weakref
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +269,57 @@ class TestPoints:
             random_rationals(2, random.Random(4), max_height=1)
         # a tall height is not enumerated when the request is small
         assert len(random_rationals(3, random.Random(4), max_height=10**9)) == 3
+
+
+def _cleared(values) -> list:
+    """The rational point times the lcm L of its denominators, kept as Fractions."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v * scale for v in values]
+
+
+class TestClearedPoints:
+    """The sweeps check each seeded point at L times it, where both sides are integers."""
+
+    def test_schur_value_scales_by_the_cleared_denominators(self):
+        rng = random.Random(7)
+        for lam in (Partition([]), Partition([1]), Partition([3, 1]), P("[2^2,1]"), Partition([4]), P("[1^5]")):
+            xs = random_rationals(4, rng)
+            scale = lcm(*(x.denominator for x in xs))
+            cleared = [int(x * scale) for x in xs]
+            value = schur_eval(lam, cleared)
+            assert type(value) is int
+            assert value == scale**lam.size * schur_eval(lam, xs)
+            assert str(value) == str(schur_eval(lam, [F(c) for c in cleared]))  # what `schur` prints
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweeps_check_the_same_draws(self, monkeypatch, seed):
+        seen = {name: [] for name in ("verify_frobenius", "verify_factorization_even", "verify_factorization_odd")}
+        for name, points in seen.items():
+            check = getattr(symfunc, name)
+
+            def recording(lam, *values, check=check, points=points, **kwargs):
+                points.append(list(values[0]) + list(values[1:]))  # (X) or (X, x) as one list
+                return check(lam, *values, **kwargs)
+
+            monkeypatch.setattr(symfunc, name, recording)
+        assert frobenius_sweep(6, seed) == 145
+        assert factorization_even_sweep(5, seed) == 82
+        assert factorization_odd_sweep(4, seed)[0] == 95
+
+        rng, frobenius = random.Random(seed), []
+        for m in range(1, 7):
+            points = [_cleared(random_rationals(m, rng)) for _ in range(5)]
+            frobenius += [point for _ in partitions_of(m) for point in points]
+        rng, even = random.Random(seed), []
+        for n in range(1, 6):
+            xs = _cleared(random_rationals(n, rng))
+            even += [xs for _ in partitions_of(2 * n)]
+        rng, odd = random.Random(seed), []
+        for n in range(1, 5):
+            values = _cleared(random_rationals(n + 1, rng))
+            odd += [values for size in (2 * n + 1, 2 * n) for _ in partitions_of(size)]
+        assert seen == {"verify_frobenius": frobenius, "verify_factorization_even": even, "verify_factorization_odd": odd}
+        assert {type(v) for points in seen.values() for point in points for v in point} == {int}
 
 
 class TestFrobenius:
