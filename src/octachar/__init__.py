@@ -21,10 +21,9 @@ __version__ = "0.1.0"
 _LAYERS = {
     "partitions": (
         "Partition", "PartitionParseError", "beta_mask", "format_partition", "from_core_and_quotient",
-        "hook_lengths", "p_core", "p_quotient", "parse_partition", "partition_counts", "partitions_of",
-        "sign_shuffle",
+        "hook_lengths", "p_core", "p_quotient", "parse_partition", "partitions_of", "sign_shuffle",
     ),
-    "census": ("SignCensus", "sign_census"),
+    "census": ("SignCensus", "partition_counts", "sign_census"),
     "characters": (
         "centralizer_order", "character_table", "class_size", "dimension", "even_cycle_classes",
         "mn_character", "mn_column", "product_character",

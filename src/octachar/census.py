@@ -3,11 +3,23 @@ on the involution class.
 
 The census reads no character: by the paper's identity the sign at the
 involution class (`verify.w0_class(m)`) is a shuffle sign, so it counts
-2-quotient pairs by that sign.  It needs only the number of partitions of m,
-which it counts itself, so a census loads no other module of the library.
+2-quotient pairs by that sign.  It needs only the number of partitions of m
+(`partition_counts`, which lives here for that reason), so a census loads no
+other module of the library.
 """
 
 from typing import NamedTuple
+
+
+def partition_counts(n: int) -> list:
+    """[p(0), p(1), ..., p(n)], the number of partitions of each k <= n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            counts[k] += counts[k - part]
+    return counts
 
 
 class SignCensus(NamedTuple):
@@ -41,7 +53,7 @@ def sign_census(m: int) -> SignCensus:
     if m < 2:
         raise ValueError("m must be at least 2")
     n, odd = divmod(m, 2)
-    total = _partition_count(m)
+    total = partition_counts(m)[m]
     width = total.bit_length() + 1  # a slot counts at most p(m) quotient pairs
     keep = [(1 << width * (n + 1 - forced)) - 1 for forced in range(n + 1)]  # slots 0..n-forced
     states = {(0, 0, 0): 1}
@@ -71,12 +83,3 @@ def sign_census(m: int) -> SignCensus:
     empty_parity = n * (n + 1) // 2 & 1
     pos, neg = (states.get((0, 0, parity), 0) >> width * n for parity in (empty_parity, 1 - empty_parity))
     return SignCensus(m, pos, neg, total - pos - neg)
-
-
-def _partition_count(m: int) -> int:
-    """p(m), by the recurrence of `partitions.partition_counts`."""
-    counts = [1] + [0] * m
-    for part in range(1, m + 1):
-        for k in range(part, m + 1):
-            counts[k] += counts[k - part]
-    return counts[m]

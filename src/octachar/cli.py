@@ -15,7 +15,9 @@ memory grow about 1.55x per step of M, 6.6 s and 252 MB at M = 26, 10.3 s and
 389 MB at 27, 16.1 s and 595 MB at 28 on the same host) or a `sweep --max`
 above 16 (`SWEEP_MAX`: 6.2 s and 169 MB at 16, 13.8 s and 309 MB at 17 at
 --jobs 1) or a `table --n` above 16 (`TABLE_MAX_N`: time grows about 1.8x per
-step of n, 7.4 s at 16 and 13.9 s at 17, in 25 MB), refused before any work.
+step of n, 7.4 s at 16 and 13.9 s at 17, in 25 MB) or a `dims --n` above 28
+(`DIMS_MAX_N`: time grows about 1.4x per step of n, 10.3-11.0 s and 164 MB at
+28, 15.4-16.2 s and 220 MB at 29), refused before any work.
 Randomized verification commands print their seed in the report header.
 `sweep --jobs` (default 1) caps the worker processes, one value of n each, so
 at most min(jobs, max) start; `census` accepts `--jobs` and runs in one process.
@@ -227,8 +229,12 @@ def _cmd_sweep(args) -> int:
     return 0 if report.ok else 1
 
 
+DIMS_MAX_N = 28  # the largest dims --n; see the module docstring for its cost
+
+
 def _cmd_dims(args) -> int:
-    from .partitions import partition_counts
+    _refuse_above(DIMS_MAX_N, args.n, "dims --n")
+    from .census import partition_counts
     from .verify import dimension_match
 
     ok = dimension_match(args.n, args.target)

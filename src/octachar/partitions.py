@@ -7,15 +7,16 @@ bead move b -> b - t, and adding one is b -> b + t, where the beads below 0
 that every beta-set implicitly has (at -1, -2, ...) may move up too.  The
 library holds a beta-set as an int bitmask (`beta_mask`, bit b set when b is
 a bead).  The one copy of the bead-move arithmetic, `hook_layer`, moves a
-whole frontier {mask: value} by one hook length.  Quotients, the p-core
-(every runner flushed, which is what removing p-hooks one at a time leaves)
-and the shuffle sign are read off the p abacus runners of the mask (runner i
-holds the beads congruent to i mod p), and `_interleave` puts runners back
-together, each runner's foot of beads as one block; at p = 2,
-`_from_two_quotient` reads a partition's bitmask and shuffle sign off the
-runners its 2-quotient builds.  Padding length matters for the
-p-quotient and for the shuffle sign, so the convention is fixed once here, in
-`_padded_mask`, which each of them calls on a bitmask:
+whole frontier {mask: value} by one hook length.  The abacus is one split and
+one join: `_split` pads a bitmask and splits it into its p runners (runner i
+holds the beads congruent to i mod p), which are the p-quotient, and `_join`
+lifts quotient runners over the bead counts of a p-core and interleaves them,
+each runner's foot of beads as one block.  The p-core is the join of the
+split's bead counts with empty runners (every runner flushed, which is what
+removing p-hooks one at a time leaves), and at p = 2 the shuffle sign is read
+off the runners of either one (`_runner_sign`).  Padding length matters for
+the p-quotient and for the shuffle sign, so the convention is fixed once
+here, in `_split`:
 
   * p = 2: pad to the smallest length with the parity of |lam|.  This makes
     the 2-quotient of a partition of 2n and of its partner of 2n+1 (same
@@ -104,17 +105,6 @@ def partitions_of(n: int):
             parts.append(r)
 
 
-def partition_counts(n: int) -> list:
-    """[p(0), p(1), ..., p(n)], the number of partitions of each k <= n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    counts = [1] + [0] * n
-    for part in range(1, n + 1):
-        for k in range(part, n + 1):
-            counts[k] += counts[k - part]
-    return counts
-
-
 def beta_mask(lam) -> int:
     """Canonical beta-set of lam as a bitmask (a Maya diagram): bit b is set when
     b = lam_i + r - i for one of the r parts, so bit 0 is clear and () is 0."""
@@ -201,8 +191,18 @@ def _from_mask(mask: int) -> Partition:
     return _partition(v for v in reversed(parts) if v)
 
 
-def _runners(mask: int, p: int) -> list:
-    """The p abacus runners of a bitmask: bit j of runner i is bit p*j + i."""
+def _foot(mask: int) -> int:
+    """Length of a bitmask's foot: its unbroken beads from bit 0 up."""
+    return (mask ^ (mask + 1)).bit_length() - 1
+
+
+def _split(mask: int, size: int, p: int) -> list:
+    """The p abacus runners of canonical bitmask `mask` of a partition of
+    `size`, padded with beads at the bottom to the module's length: bit j of
+    runner i is bit p*j + i of the padded mask."""
+    beads = mask.bit_count()
+    pad = (beads + size) % 2 if p == 2 else -beads % p
+    mask = (mask << pad) | ((1 << pad) - 1)
     runners = [0] * p
     while mask:
         low = mask & -mask
@@ -212,54 +212,29 @@ def _runners(mask: int, p: int) -> list:
     return runners
 
 
-def _foot(mask: int) -> int:
-    """Length of a bitmask's foot: its unbroken beads from bit 0 up."""
-    return (mask ^ (mask + 1)).bit_length() - 1
-
-
-def _interleave(runners) -> int:
-    """Inverse of `_runners`: bit j of runner i goes to bit p*j + i.  Each
-    runner's foot goes in as one block; only the beads above it are placed
-    one at a time (bit j to bit p*j is low ** p)."""
-    p, mask = len(runners), 0
+def _join(beads_on, masks) -> tuple:
+    """(canonical bitmask, runners) of the partition with p-quotient bitmasks
+    `masks` whose p-core has beads_on[i] beads on runner i.  Each mask goes
+    over a foot of beads, so that every runner holds `top` beads more than the
+    core's, `top` the least that leaves no foot negative (the masks [0] * p
+    give the core itself).  Interleaving sends bit j of runner i to bit
+    p*j + i; each runner's foot goes in as one block, and only the beads above
+    it are placed one at a time (bit j to bit p*j is low ** p)."""
+    p = len(masks)
+    lifts = [mask.bit_count() - k for k, mask in zip(beads_on, masks)]
+    top = max(0, *lifts)
+    # ((mask + 1) << pad) - 1 is mask shifted up over pad beads at its foot
+    runners = [((mask + 1) << (top - lift)) - 1 for mask, lift in zip(masks, lifts)]
+    merged = 0
     for i, runner in enumerate(runners):
         foot = _foot(runner)
-        mask |= ((1 << p * foot) - 1) // ((1 << p) - 1) << i
-        runner ^= (1 << foot) - 1
-        while runner:
-            low = runner & -runner
-            runner ^= low
-            mask |= low**p << i
-    return mask
-
-
-def _quotient_runners(beads_on, masks) -> list:
-    """Runners of the partition with p-quotient bitmasks `masks` whose p-core
-    has beads_on[i] beads on runner i: each mask over a foot of beads, so that
-    every runner holds `top` beads more than the core's, `top` the least that
-    leaves no foot negative."""
-    lifts = [mask.bit_count() - k for k, mask in zip(beads_on, masks)]
-    top = max(0, max(lifts))
-    # ((mask + 1) << pad) - 1 is mask shifted up over pad beads at its foot
-    return [((mask + 1) << (top - lift)) - 1 for mask, lift in zip(masks, lifts)]
-
-
-def _quotient_mask(core: int, masks) -> int:
-    """Canonical bitmask of the partition with p-quotient bitmasks `masks` and the
-    p-core of padded bitmask `core`: its flush runners go under the masks.  Only
-    the bead count on each runner of `core` is read, so any mask with the
-    core's counts will do (the masks [0] * p give the core itself)."""
-    beads_on = [runner.bit_count() for runner in _runners(core, len(masks))]
-    merged = _interleave(_quotient_runners(beads_on, masks))
-    return merged >> _foot(merged)
-
-
-def _padded_mask(mask: int, size: int, p: int) -> int:
-    """Canonical bitmask `mask` of a partition of `size` (one bead per part),
-    padded with beads at the bottom to the module's length."""
-    beads = mask.bit_count()
-    pad = (beads + size) % 2 if p == 2 else -beads % p
-    return (mask << pad) | ((1 << pad) - 1)
+        merged |= ((1 << p * foot) - 1) // ((1 << p) - 1) << i
+        above = runner >> foot << foot
+        while above:
+            low = above & -above
+            above ^= low
+            merged |= low**p << i
+    return merged >> _foot(merged), runners
 
 
 def p_core(lam, p: int) -> Partition:
@@ -270,7 +245,8 @@ def p_core(lam, p: int) -> Partition:
     lam = Partition(lam)
     if p < 2:
         raise ValueError("p must be at least 2")
-    return _from_mask(_quotient_mask(beta_mask(lam), [0] * p))
+    beads_on = [runner.bit_count() for runner in _split(beta_mask(lam), lam.size, p)]
+    return _from_mask(_join(beads_on, [0] * p)[0])
 
 
 def p_quotient(lam, p: int) -> tuple:
@@ -283,7 +259,7 @@ def p_quotient(lam, p: int) -> tuple:
     lam = Partition(lam)
     if p < 2:
         raise ValueError("p must be at least 2")
-    return tuple(map(_from_mask, _runners(_padded_mask(beta_mask(lam), lam.size, p), p)))
+    return tuple(map(_from_mask, _split(beta_mask(lam), lam.size, p)))
 
 
 def from_core_and_quotient(core, quotient, p: int) -> Partition:
@@ -294,10 +270,11 @@ def from_core_and_quotient(core, quotient, p: int) -> Partition:
     quotient = tuple(Partition(q) for q in quotient)
     if len(quotient) != p:
         raise ValueError("quotient must have exactly %d components" % p)
-    if p_core(core, p) != core:
+    runners = _split(beta_mask(core), core.size, p)
+    if any(runner & (runner + 1) for runner in runners):  # a core's runners are flush
         raise ValueError("not a p-core: %s has a hook divisible by %d" % (core, p))
 
-    result = _from_mask(_quotient_mask(_padded_mask(beta_mask(core), core.size, p), [beta_mask(q) for q in quotient]))
+    result = _from_mask(_join([runner.bit_count() for runner in runners], [beta_mask(q) for q in quotient])[0])
     assert result.size == core.size + p * sum(q.size for q in quotient)
     return result
 
@@ -321,11 +298,11 @@ def sign_shuffle(lam) -> int:
 
 def _two_quotient(mask: int, size: int) -> tuple:
     """(eps, q0, q1) for the partition of `size` with canonical bitmask `mask`:
-    q0 and q1, the 2-quotient, are the two runners of its padded bitmask, and
-    eps is the shuffle sign (`_runner_sign`), or 0 when the 2-core is not () at
-    even size or (1) at odd size."""
+    q0 and q1, the 2-quotient, are the two runners `_split` gives, and eps is
+    the shuffle sign (`_runner_sign`), or 0 when the 2-core is not () at even
+    size or (1) at odd size."""
     odd_size = size % 2
-    even, odd = _runners(_padded_mask(mask, size, 2), 2)
+    even, odd = _split(mask, size, 2)
     if odd.bit_count() != even.bit_count() + odd_size:
         return 0, even, odd
     return _runner_sign(even, odd, odd_size), even, odd
@@ -335,10 +312,9 @@ def _from_two_quotient(q0: int, q1: int, odd_size: int) -> tuple:
     """Inverse of `_two_quotient`: (canonical bitmask, shuffle sign) of the
     partition with 2-core () (`odd_size` 0) or (1) (`odd_size` 1, its one bead
     on the odd runner) and 2-quotient bitmasks (q0, q1), both read off the
-    runners `_quotient_mask` interleaves."""
-    runners = _quotient_runners((0, odd_size), (q0, q1))
-    merged = _interleave(runners)
-    return merged >> _foot(merged), _runner_sign(*runners, odd_size)
+    runners `_join` builds."""
+    mask, runners = _join((0, odd_size), (q0, q1))
+    return mask, _runner_sign(*runners, odd_size)
 
 
 def _runner_sign(even: int, odd: int, odd_size: int) -> int:

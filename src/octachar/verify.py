@@ -5,7 +5,9 @@ They read characters by columns: the table and the dimension match read the
 column at `w0_class(m)`, and the sweep builds each class family's columns in
 one walk per n (`characters.mn_columns`, `hyperoctahedral.bn_columns`) and
 compares each S_m column whole with the B_n column at its norm, re-keyed by
-basechange bitmask and signed (`partitions._from_two_quotient`).
+basechange bitmask and signed.  Both the table and the sweep read a pair's
+basechange bitmask and shuffle sign off one abacus join of its two quotient
+bitmasks (`partitions._from_two_quotient`, over `partitions._join`).
 The sweep can farm the values of n out to worker processes; it imports
 `multiprocessing` only when it starts more than one, so a run that starts no
 pool does not pay for loading it.  The records are `NamedTuple`s and one
@@ -15,9 +17,9 @@ plain class, not dataclasses, for the same reason.
 from typing import NamedTuple
 
 from .partitions import Partition, _TARGET_CORES, _from_mask, _from_two_quotient, _target_core, beta_mask
-from .partitions import partitions_of, sign_shuffle
+from .partitions import partitions_of
 from .characters import even_cycle_classes, mn_character, mn_column, mn_columns
-from .hyperoctahedral import bipartitions_of, basechange, bn_character_bruteforce, bn_columns, bn_dimension, norm
+from .hyperoctahedral import bipartitions_of, bn_character_bruteforce, bn_columns, bn_dimension, norm
 
 
 def w0_class(m: int) -> Partition:
@@ -59,15 +61,16 @@ def build_table(n: int) -> TableResult:
     w_odd = w0_class(2 * n + 1)
     rows = []
     for pair in bipartitions_of(n):
-        lam_even = basechange(pair, "even")
-        lam_odd = basechange(pair, "odd")
+        key = beta_mask(pair[0]), beta_mask(pair[1])
+        even, sign = _from_two_quotient(*key, 0)
+        lam_even, lam_odd = _from_mask(even), _from_mask(_from_two_quotient(*key, 1)[0])
         rows.append(
             CorrespondenceRow(
                 lambda_even=lam_even,
                 lambda_odd=lam_odd,
                 theta_even=mn_character(lam_even, w_even),
                 theta_odd=mn_character(lam_odd, w_odd),
-                sign=sign_shuffle(lam_even),
+                sign=sign,
                 bn_dim=bn_dimension(pair),
             )
         )

@@ -26,10 +26,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from octachar.partitions import Partition, p_core, partition_counts, partitions_of
+from octachar.partitions import Partition, p_core, partitions_of
 from octachar.characters import mn_character, mn_column
 from octachar.hyperoctahedral import BnClass
-from octachar.census import SignCensus
+from octachar.census import SignCensus, partition_counts
 from octachar.verify import w0_class
 
 
@@ -55,6 +55,19 @@ def partition_from_beta(beta):
             raise ValueError("beta entries must be strictly decreasing, got %r" % (beta,))
     r = len(beta)
     return Partition(v for v in (beta[i] - (r - 1 - i) for i in range(r)) if v > 0)
+
+
+def p_quotient_on_tuples(lam, p):
+    """p-quotient of lam on a tuple beta-set at the library's padding length:
+    the fewest parts, at least len(lam), with the parity of |lam| at p = 2 and
+    a multiple of p at p >= 3.  Slot i is the partition whose beta-set is the
+    entries congruent to i, minus i, divided by p."""
+    lam = Partition(lam)
+    length = len(lam)
+    while (length - lam.size) % 2 if p == 2 else length % p:
+        length += 1
+    beta = beta_set(lam, length)
+    return tuple(partition_from_beta((b - i) // p for b in beta if b % p == i) for i in range(p))
 
 
 def is_p_core(lam, p):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import octachar
 from octachar import cli, partitions
-from octachar.cli import CENSUS_MAX_M, CHARTABLE_MAX_M, SWEEP_MAX, TABLE_MAX_N, main
+from octachar.cli import CENSUS_MAX_M, CHARTABLE_MAX_M, DIMS_MAX_N, SWEEP_MAX, TABLE_MAX_N, main
 from octachar.partitions import format_partition, parse_partition, partitions_of
 from octachar.symfunc import random_rationals
 from octachar.hyperoctahedral import bn_dimension, parse_bipartition
@@ -361,11 +361,13 @@ def test_chartable_past_the_limit_is_refused_before_work(m):
         (["sweep", "--max", str(10**8), "--jobs", "2"], "sweep --max %d" % 10**8),
         (["table", "--n", str(TABLE_MAX_N + 1)], "table --n %d" % (TABLE_MAX_N + 1)),
         (["table", "--n", str(10**8), "--json"], "table --n %d" % 10**8),
+        (["dims", "--n", str(DIMS_MAX_N + 1), "--target", "even"], "dims --n %d" % (DIMS_MAX_N + 1)),
+        (["dims", "--n", str(10**8), "--target", "odd"], "dims --n %d" % 10**8),
     ],
     ids=" ".join,
 )
 def test_sweep_and_table_past_the_limit_are_refused_before_work(argv, message):
-    limit = SWEEP_MAX if argv[0] == "sweep" else TABLE_MAX_N
+    limit = {"sweep": SWEEP_MAX, "table": TABLE_MAX_N, "dims": DIMS_MAX_N}[argv[0]]
     src = str(Path(octachar.__file__).resolve().parent.parent)
     start = time.perf_counter()
     proc = subprocess.run(
@@ -382,13 +384,17 @@ def test_sweep_and_table_past_the_limit_are_refused_before_work(argv, message):
 
 @pytest.mark.parametrize(
     "argv, target",
-    [(["sweep", "--max", str(SWEEP_MAX)], "main_theorem_sweep"), (["table", "--n", str(TABLE_MAX_N)], "build_table")],
+    [
+        (["sweep", "--max", str(SWEEP_MAX)], "main_theorem_sweep"),
+        (["table", "--n", str(TABLE_MAX_N)], "build_table"),
+        (["dims", "--target", "even", "--n", str(DIMS_MAX_N)], "dimension_match"),
+    ],
     ids=" ".join,
 )
 def test_sweep_and_table_at_the_limit_run(monkeypatch, capsys, argv, target):
     calls = []
 
-    def stop(n, **kwargs):
+    def stop(n, *args, **kwargs):
         calls.append(n)
         raise ValueError("stopped")
 

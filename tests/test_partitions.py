@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from octachar import partitions
+from octachar.census import partition_counts
 from octachar.partitions import (
     MAX_LITERAL_PARTS,
     Partition,
@@ -13,7 +15,6 @@ from octachar.partitions import (
     p_core,
     p_quotient,
     parse_partition,
-    partition_counts,
     partitions_of,
     sign_shuffle,
     _from_mask,
@@ -25,6 +26,7 @@ from oracles import (
     beta_set,
     is_p_core,
     mask_beads,
+    p_quotient_on_tuples,
     partition_from_beta,
     rim_hook_cores,
     rim_hook_removals,
@@ -315,6 +317,18 @@ class TestCores:
                     assert outcomes == frozenset([p_core(lam, p)])
 
 
+def _quotient_mismatches() -> list:
+    """(lam, p) for each lam of size <= 14 and p = 2..5 where `p_quotient`
+    differs from the quotient read off tuple beta-sets."""
+    return [
+        (lam, p)
+        for p in range(2, 6)
+        for m in range(15)
+        for lam in partitions_of(m)
+        if p_quotient(lam, p) != p_quotient_on_tuples(lam, p)
+    ]
+
+
 class TestQuotients:
     def test_empty(self):
         assert p_quotient(Partition(), 2) == (Partition(), Partition())
@@ -334,6 +348,14 @@ class TestQuotients:
 
     def test_regression_value(self):
         assert p_quotient(Partition([3, 2, 1, 1, 1]), 2) == (Partition(), Partition([1]))
+
+    def test_matches_tuple_beta_sets(self):
+        assert _quotient_mismatches() == []
+
+    def test_tuple_oracle_sees_a_reversed_runner_order(self, monkeypatch):
+        real = partitions._split
+        monkeypatch.setattr(partitions, "_split", lambda mask, size, p: real(mask, size, p)[::-1])
+        assert _quotient_mismatches()
 
     def test_size_identity(self):
         for p in (2, 3, 5):
@@ -357,6 +379,18 @@ class TestReconstruction:
             from_core_and_quotient(Partition(), (Partition([1]),), 1)
         with pytest.raises(ValueError, match="exactly 2 components"):
             from_core_and_quotient(Partition(), (Partition(), Partition(), Partition()), 2)
+
+    def test_rejects_exactly_the_non_cores(self):
+        # from_core_and_quotient tests that the core's runners are flush
+        for p in range(2, 6):
+            empty = (Partition(),) * p
+            for m in range(11):
+                for lam in partitions_of(m):
+                    if rim_hook_cores(lam, p) == {lam}:
+                        assert from_core_and_quotient(lam, empty, p) == lam
+                    else:
+                        with pytest.raises(ValueError, match="not a p-core"):
+                            from_core_and_quotient(lam, empty, p)
 
     def test_roundtrip_table_entry(self):
         lam = P("[3,2,1^4]")

@@ -85,7 +85,7 @@ LAYERS_BY_COMMAND = {
     "sweep --max 2 --jobs 1": HARNESS,
     "census --m 6": {"octachar", "octachar.cli", "octachar.census"},
     "table --n 2": HARNESS,
-    "dims --n 2 --target even": HARNESS,
+    "dims --n 2 --target even": HARNESS | {"octachar.census"},  # p(k) from the census layer
 }
 
 

@@ -3,11 +3,11 @@ from math import comb
 import pytest
 
 from octachar import characters, hyperoctahedral, partitions, verify
-from octachar.cli import CENSUS_MAX_M, main
-from octachar.partitions import Partition, beta_mask, parse_partition, partition_counts, partitions_of, sign_shuffle
+from octachar.cli import main
+from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, sign_shuffle
 from octachar.characters import even_cycle_classes, mn_character
 from octachar.hyperoctahedral import basechange, bipartition, bipartitions_of, bn_character, bn_class, norm
-from octachar.census import _partition_count, sign_census
+from octachar.census import partition_counts, sign_census
 from octachar.verify import (
     build_table,
     dimension_match,
@@ -84,11 +84,6 @@ class TestCensus:
         for m in (5, 8, 11):
             census = sign_census(m)
             assert census.total == sum(1 for _ in partitions_of(m))
-
-    def test_own_partition_count(self):
-        # the census counts p(m) itself, so that it loads no partitions module
-        assert [_partition_count(m) for m in range(201)] == partition_counts(200)
-        assert _partition_count(CENSUS_MAX_M) == partition_counts(CENSUS_MAX_M)[CENSUS_MAX_M]
 
     def test_matches_direct_recount(self):
         census = sign_census(9)
