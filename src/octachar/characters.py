@@ -5,11 +5,12 @@ Character values come from the Murnaghan-Nakayama rule on beta-set bitmasks
 (`partitions.beta_mask`), one `partitions.hook_layer` per cycle.  A single
 value removes the cycles top-down from {mask of lam: 1}, iteratively, so the
 number of cycles is not bounded by the stack; columns {mask: chi_lam(rho)}
-grow from the empty partition, shortest cycle first, and `mn_columns` builds
-a family's columns in one walk that expands each shared prefix once
-(`character_table` 15: 351 layers for 176 columns).  The only memo is the
-walk's move rows: one row per distinct (mask, |t|) the walk reaches (1,246
-for `character_table` 15, against 7,717 mask visits), freed when it returns.
+grow from the empty partition, shortest cycle first.  One walk, `_walk`,
+yields a family's columns one at a time in sorted cycle-length order and
+expands each shared prefix once (`character_table` 15: 351 layers for 176
+columns); `mn_columns` collects them in the family's order.  The only memo is
+the walk's move rows: one row per distinct (mask, |t|) the walk reaches (1,246
+for `character_table` 15, against 7,717 mask visits), freed when it ends.
 The character induced from S_a x S_b runs the same layers on pairs of masks
 (`_pair_layer`), the frontier that `hyperoctahedral` uses for B_n characters:
 each pair moves by the move row of the mask that moves, and a walk's rows of
@@ -59,18 +60,21 @@ def mn_column(rho) -> dict:
 
 def mn_columns(classes) -> dict:
     """{rho: mn_column(rho)} for a family of classes, in their order, from one `_walk`."""
-    return _walk({0: 1}, {rho: tuple(reversed(rho)) for rho in map(_cycle_type, classes)}, hook_layer)
+    sequences = {rho: tuple(reversed(rho)) for rho in map(_cycle_type, classes)}
+    columns = dict(_walk({0: 1}, sequences, hook_layer))
+    return {rho: columns[rho] for rho in sequences}
 
 
-def _walk(start: dict, sequences: dict, layer) -> dict:
-    """{key: `start` grown by adding hooks of the lengths sequences[key]} in one
-    depth-first walk: in lexicographic order, the frontier after each prefix of
-    the current sequence stays on a stack, so a shared prefix is expanded once.
-    With more than one sequence the layers of one hook length |t| share their
-    move rows (see `partitions.hook_layer`), freed on return.  One sequence
-    records none: its layers all differ in size, so an S_m column never meets
-    a mask twice."""
-    columns, stack = {}, [((), start)]  # (prefix, frontier after it)
+def _walk(start: dict, sequences: dict, layer):
+    """Yield (key, `start` grown by adding hooks of the lengths sequences[key])
+    for every key, in the sorted order of the sequences, from one depth-first
+    walk: the frontier after each prefix of the current sequence stays on a
+    stack, so a shared prefix is expanded once, and only the stack stays alive
+    between yields.  With more than one sequence the layers of one hook length
+    |t| share their move rows (see `partitions.hook_layer`), freed when the walk
+    ends.  One sequence records none: its layers all differ in size, so an S_m
+    column never meets a mask twice."""
+    stack = [((), start)]  # (prefix, frontier after it)
     rows = defaultdict(dict) if len(sequences) > 1 else None  # |t| -> {mask: row}
     for key, lengths in sorted(sequences.items(), key=lambda item: item[1]):
         while lengths[: len(stack[-1][0])] != stack[-1][0]:
@@ -78,8 +82,7 @@ def _walk(start: dict, sequences: dict, layer) -> dict:
         for t in lengths[len(stack[-1][0]) :]:
             shared = None if rows is None else rows[abs(t)]
             stack.append((stack[-1][0] + (t,), layer(stack[-1][1], t, True, shared)))
-        columns[key] = stack[-1][1]
-    return {key: columns[key] for key in sequences}
+        yield key, stack[-1][1]
 
 
 def _pair_layer(frontier: dict, t: int, add: bool = False, rows: dict = None) -> dict:

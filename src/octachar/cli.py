@@ -13,14 +13,16 @@ takes time about m^3.5, 8.4 s and 21 MB at m = 1,000 and 18.7 s at 1,200 on a
 2-vCPU x86-64 host) or a `chartable M` above 27 (`CHARTABLE_MAX_M`: time and
 memory grow about 1.55x per step of M, 6.6 s and 252 MB at M = 26, 10.3 s and
 389 MB at 27, 16.1 s and 595 MB at 28 on the same host) or a `sweep --max`
-above 16 (`SWEEP_MAX`: 6.2 s and 169 MB at 16, 13.8 s and 309 MB at 17 at
---jobs 1) or a `table --n` above 16 (`TABLE_MAX_N`: time grows about 1.8x per
-step of n, 7.4 s at 16 and 13.9 s at 17, in 25 MB) or a `dims --n` above 28
-(`DIMS_MAX_N`: time grows about 1.4x per step of n, 10.3-11.0 s and 164 MB at
-28, 15.4-16.2 s and 220 MB at 29), refused before any work.
+above 16 (`SWEEP_MAX`: time about doubles per step of n, 3.6-3.7 s and 64 MB
+at 16, 7.3 s and 92 MB at 17 at --jobs 1) or a `table --n` above 16
+(`TABLE_MAX_N`: time grows about 1.8x per step of n, 7.4 s at 16 and 13.9 s at
+17, in 25 MB) or a `dims --n` above 28 (`DIMS_MAX_N`: time grows about 1.4x
+per step of n, 3.3 s and 164 MB at 28, 4.7 s and 220 MB at 29), refused
+before any work.
 Randomized verification commands print their seed in the report header.
 `sweep --jobs` (default 1) caps the worker processes, one value of n each, so
-at most min(jobs, max) start; `census` accepts `--jobs` and runs in one process.
+at most min(jobs, max) start; at --jobs 1 every n goes in one streamed pass.
+`census` accepts `--jobs` and runs in one process.
 A command imports only the layers it runs: this module imports none at load,
 and each handler imports the layers it runs itself, `partitions` included
 where it uses it; tests/test_startup.py pins which.

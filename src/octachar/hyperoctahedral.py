@@ -12,10 +12,11 @@ Characters come from the type-B Murnaghan-Nakayama rule on the beta-set
 bitmasks of p0 and p1, with no memo: one value top-down (`bn_character`), or
 the columns over (p0, p1) of a family of classes bottom-up in one walk
 (`bn_columns`); a class's cycle lengths may come in any order.  An independent
-oracle induces the character from B_a x B_b (`bn_character_bruteforce`,
+oracle induces every irreducible of a column from B_a x B_b (`_bruteforce_column`,
 n <= 6) as a sum over the ways to split a class's cycles between the two
-factors, each weighted by a product of binomials of cycle counts.  The module
-keeps no cache.
+factors, each weighted by a product of binomials of cycle counts and read off
+top-down S_a and S_b values; `bn_character_bruteforce` is one entry of it.
+The module keeps no cache.
 """
 
 from collections import Counter
@@ -155,7 +156,8 @@ def bn_column(c: BnClass) -> dict:
 def bn_columns(classes) -> dict:
     """{c: bn_column(c)} for a family of classes, in their order, from one `characters._walk`."""
     classes = [BnClass(_cycle_type(c[0]), _cycle_type(c[1])) for c in classes]
-    return _walk({(0, 0): 1}, {c: tuple(reversed(_signed_cycles(c))) for c in classes}, _pair_layer)
+    columns = dict(_walk({(0, 0): 1}, {c: tuple(reversed(_signed_cycles(c))) for c in classes}, _pair_layer))
+    return {c: columns[c] for c in classes}
 
 
 def _signed_cycles(c: BnClass) -> list:
@@ -164,8 +166,19 @@ def _signed_cycles(c: BnClass) -> list:
 
 
 def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
-    """Oracle character of the irreducible (p0, p1) at any class, induced from
-    A = B_a x B_b with a = |p0|, b = |p1|.
+    """Oracle character of the irreducible (p0, p1) at any class (n <= 6): its
+    entry in the induced column `_bruteforce_column(c)`."""
+    p0, p1 = Partition(pi[0]), Partition(pi[1])
+    c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
+    if c.n != p0.size + p1.size:
+        raise ValueError("size mismatch: class of B_%d against irreducible of B_%d" % (c.n, p0.size + p1.size))
+    return _bruteforce_column(c).get((beta_mask(p0), beta_mask(p1)), 0)
+
+
+def _bruteforce_column(c: BnClass) -> dict:
+    """Oracle column {(beta_mask(p0), beta_mask(p1)): character} at the class c
+    of B_n (n <= 6), each irreducible induced from A = B_a x B_b with
+    a = |p0|, b = |p1|.
 
     On A the inducing character is chi_p0 on B_a times chi_p1 twisted by the
     signs on B_b, i.e. (-1)^(negative cycles), each read at the underlying cycle
@@ -173,22 +186,22 @@ def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
     c0 of B_a and c1 of B_b of |Z(c)| / (|Z(c0)| |Z(c1)|) psi(c0, c1).  A class
     (alpha|beta) has centralizer order 2^(l(alpha)+l(beta)) z_alpha z_beta
     (Geck-Pfeiffer 2000), so when k of the m cycles of each (length, sign) go
-    to B_a the weight is the product of the binomials C(m, k): an integer.
+    to B_a the weight is the product of the binomials C(m, k): an integer.  One
+    split serves every (p0, p1) of its sizes, as the outer product of the S_a
+    values at c0 and the S_b values at c1, each top-down by `mn_character`.
     """
-    p0, p1 = Partition(pi[0]), Partition(pi[1])
-    c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
-    n = p0.size + p1.size
-    if c.n != n:
-        raise ValueError("size mismatch: class of B_%d against irreducible of B_%d" % (c.n, n))
-    if n > 6:
-        raise ValueError("oracle scale exceeded: n = %d > 6" % n)
+    if c.n > 6:
+        raise ValueError("oracle scale exceeded: n = %d > 6" % c.n)
     kinds = Counter(_signed_cycles(c))  # cycle length, negated when negative -> count
-    value = 0
+    column = {}
     for split in product(*(range(m + 1) for m in kinds.values())):  # k of each kind go to B_a
-        c0 = [abs(t) for t, k in zip(kinds, split) for _ in range(k)]
-        if sum(c0) == p0.size:
-            rest = [(t, m - k) for (t, m), k in zip(kinds.items(), split)]  # r of each kind go to B_b
-            c1 = [abs(t) for t, r in rest for _ in range(r)]
-            sign = (-1) ** sum(r for t, r in rest if t < 0)
-            value += prod(map(comb, kinds.values(), split)) * sign * mn_character(p0, c0) * mn_character(p1, c1)
-    return value
+        c0 = _partition(abs(t) for t, k in zip(kinds, split) for _ in range(k))  # kinds come longest first
+        rest = [(t, m - k) for (t, m), k in zip(kinds.items(), split)]  # r of each kind go to B_b
+        c1 = _partition(abs(t) for t, r in rest for _ in range(r))
+        weight = prod(map(comb, kinds.values(), split)) * (-1) ** sum(r for t, r in rest if t < 0)
+        values1 = [(beta_mask(p1), mn_character(p1, c1)) for p1 in partitions_of(c1.size)]
+        for p0 in partitions_of(c0.size):
+            mask0, value0 = beta_mask(p0), weight * mn_character(p0, c0)
+            for mask1, value1 in values1:
+                column[mask0, mask1] = column.get((mask0, mask1), 0) + value0 * value1
+    return {key: value for key, value in column.items() if value}

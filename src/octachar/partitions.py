@@ -218,21 +218,20 @@ def _join(beads_on, masks) -> tuple:
     over a foot of beads, so that every runner holds `top` beads more than the
     core's, `top` the least that leaves no foot negative (the masks [0] * p
     give the core itself).  Interleaving sends bit j of runner i to bit
-    p*j + i; each runner's foot goes in as one block, and only the beads above
-    it are placed one at a time (bit j to bit p*j is low ** p)."""
+    p*j + i; the foot under each mask goes in as one block, and only the
+    mask's own beads are placed one at a time (bit j to bit p*j is low ** p)."""
     p = len(masks)
-    lifts = [mask.bit_count() - k for k, mask in zip(beads_on, masks)]
+    lifts = list(map(int.__sub__, map(int.bit_count, masks), beads_on))
     top = max(0, *lifts)
-    # ((mask + 1) << pad) - 1 is mask shifted up over pad beads at its foot
-    runners = [((mask + 1) << (top - lift)) - 1 for mask, lift in zip(masks, lifts)]
-    merged = 0
-    for i, runner in enumerate(runners):
-        foot = _foot(runner)
-        merged |= ((1 << p * foot) - 1) // ((1 << p) - 1) << i
-        above = runner >> foot << foot
-        while above:
-            low = above & -above
-            above ^= low
+    runners, merged = [], 0
+    for i, (mask, lift) in enumerate(zip(masks, lifts)):
+        pad = top - lift
+        runners.append(((mask + 1) << pad) - 1)  # mask shifted up over pad beads at its foot
+        merged |= ((1 << p * pad) - 1) // ((1 << p) - 1) << i
+        mask <<= pad
+        while mask:
+            low = mask & -mask
+            mask ^= low
             merged |= low**p << i
     return merged >> _foot(merged), runners
 

@@ -16,7 +16,8 @@ from octachar import cli, partitions
 from octachar.cli import CENSUS_MAX_M, CHARTABLE_MAX_M, DIMS_MAX_N, SWEEP_MAX, TABLE_MAX_N, main
 from octachar.partitions import format_partition, parse_partition, partitions_of
 from octachar.symfunc import random_rationals
-from octachar.hyperoctahedral import bn_dimension, parse_bipartition
+from octachar.characters import dimension
+from octachar.hyperoctahedral import parse_bipartition
 
 
 def run(capsys, *argv):
@@ -282,7 +283,7 @@ class TestCensusSweepDims:
         assert out.strip() == "ok: 10 dimensions match as multisets"
 
     def test_dims_mismatch_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr("octachar.verify.bn_dimension", lambda pair: bn_dimension(pair) + 1)
+        monkeypatch.setattr("octachar.verify.dimension", lambda lam: dimension(lam) + 1)
         code, out, err = run(capsys, "dims", "--n", "2", "--target", "even")
         assert (code, err) == (1, "")
         assert out == "MISMATCH: B_2 dimensions differ from the |character| multiset\n"

@@ -1,3 +1,4 @@
+import weakref
 from math import comb
 
 import pytest
@@ -149,6 +150,14 @@ class TestDimensionMatch:
         with pytest.raises(ValueError):
             dimension_match(3, "diagonal")
 
+    def test_each_dimension_is_computed_once(self, monkeypatch):
+        calls = []
+        real = verify.dimension
+        monkeypatch.setattr(verify, "dimension", lambda lam: calls.append(lam) or real(lam))
+        assert dimension_match(12, "odd")
+        assert sorted(calls) == sorted(lam for k in range(13) for lam in partitions_of(k))  # 1 + 1 + ... + 77
+        assert len(calls) == sum(partition_counts(12)) == 272
+
 
 class TestMainTheoremSweep:
     def test_n1_counts(self):
@@ -180,6 +189,85 @@ class TestMainTheoremSweep:
             parallel.failures,
         )
 
+    def test_jobs_2_and_jobs_1_give_identical_reports(self):
+        # --jobs 1 runs every n in one pass, --jobs 2 one n per worker
+        serial, parallel = main_theorem_sweep(6), main_theorem_sweep(6, jobs=2)
+        assert vars(serial) == vars(parallel)
+        assert (serial.checked, serial.oracle_checked) == (2_218, 142)
+
+
+class TestSweepStream:
+    """The sweep runs its B_n walk and its two S_m walks in lockstep over every
+    n at once, and keeps no column past its class."""
+
+    def test_walks_share_layers_across_n(self, monkeypatch):
+        calls = []
+
+        def counting(real):
+            def layer(frontier, t, add=False, rows=None):
+                calls.append(t)
+                return real(frontier, t, add, rows)
+
+            return layer
+
+        monkeypatch.setattr(verify, "_pair_layer", counting(verify._pair_layer))
+        monkeypatch.setattr(verify, "hook_layer", counting(verify.hook_layer))
+        assert main_theorem_sweep(7).ok
+        ascending = [tuple(reversed(rho)) for n in range(1, 8) for rho in partitions_of(n)]
+        prefixes = {rho[:j] for rho in ascending for j in range(1, len(rho) + 1)}
+        assert len(prefixes) == 44  # every prefix is itself a class: one layer per class and walk
+        assert len(calls) == 3 * 44 + 1 == 133  # and the odd walk's fixed point
+
+        def per_n(n):  # the layers of one walk per n and family: B_n, 2rho and [2rho, 1]
+            ascending = [tuple(reversed(rho)) for rho in partitions_of(n)]
+            return 3 * len({rho[:j] for rho in ascending for j in range(1, len(rho) + 1)}) + 1
+
+        assert sum(map(per_n, range(1, 8))) == 250
+
+    def test_a_walk_out_of_order_fails_loudly(self, monkeypatch):
+        real = verify._walk
+
+        def swapped(start, sequences, layer):
+            steps = list(real(start, sequences, layer))
+            if layer is verify.hook_layer:
+                steps[:2] = steps[1::-1]
+            return iter(steps)
+
+        monkeypatch.setattr(verify, "_walk", swapped)
+        with pytest.raises(RuntimeError, match=r"^sweep walks out of step: \[2\^2\] \(target=even\) against \(\[1\]\|\[\]\)$"):
+            main_theorem_sweep(3)
+
+    def test_a_short_walk_fails_loudly(self, monkeypatch):
+        real = verify._walk
+
+        def short(start, sequences, layer):
+            steps = list(real(start, sequences, layer))
+            return iter(steps[:-1] if layer is verify.hook_layer else steps)
+
+        monkeypatch.setattr(verify, "_walk", short)
+        with pytest.raises(ValueError, match="zip"):
+            main_theorem_sweep(3)
+
+    def test_no_class_column_outlives_its_class(self, monkeypatch):
+        class Column(dict):  # a dict subclass takes weak references
+            pass
+
+        real, refs, stale = verify._walk, [], []
+
+        def tracked(start, sequences, layer):
+            for i, (key, column) in enumerate(real(start, sequences, layer)):
+                # the three walks step together: only the previous step's columns may be alive
+                stale.extend(j for j, ref in refs if j < i - 1 and ref() is not None)
+                column = Column(column)
+                refs.append((i, weakref.ref(column)))
+                yield key, column
+
+        monkeypatch.setattr(verify, "_walk", tracked)
+        assert main_theorem_sweep(7).ok
+        assert len(refs) == 3 * 44
+        assert stale == []
+        assert [j for j, ref in refs if ref() is not None] == []
+
 
 class TestSweepFailures:
     """A wrong sign, a wrong column value, a colliding basechange, a wrong
@@ -199,15 +287,13 @@ class TestSweepFailures:
         monkeypatch.setattr(verify, "_from_two_quotient", flipped)
 
     def wrong_column_value(self, monkeypatch):
-        real, w, mask = verify.mn_columns, P("[4,2,2]"), beta_mask(P("[2,1^6]"))
+        real, w, mask = verify._walk, P("[4,2,2]"), beta_mask(P("[2,1^6]"))
 
-        def corrupted(classes):
-            columns = real(classes)
-            if w in columns:
-                columns[w] = {**columns[w], mask: columns[w][mask] + 1}
-            return columns
+        def corrupted(start, sequences, layer):
+            for key, column in real(start, sequences, layer):
+                yield key, ({**column, mask: column[mask] + 1} if key == w else column)
 
-        monkeypatch.setattr(verify, "mn_columns", corrupted)
+        monkeypatch.setattr(verify, "_walk", corrupted)
 
     def colliding_basechange(self, monkeypatch):
         # ([]|[1]) is sent to the basechange of ([1]|[]) at both targets
@@ -220,15 +306,13 @@ class TestSweepFailures:
 
     def off_image_value(self, monkeypatch):
         # [3,2,1] is its own 2-core, so it is no pair's basechange and must vanish at [2^3]
-        real, w, mask = verify.mn_columns, P("[2^3]"), beta_mask(P("[3,2,1]"))
+        real, w, mask = verify._walk, P("[2^3]"), beta_mask(P("[3,2,1]"))
 
-        def planted(classes):
-            columns = real(classes)
-            if w in columns:
-                columns[w] = {**columns[w], mask: 1}
-            return columns
+        def planted(start, sequences, layer):
+            for key, column in real(start, sequences, layer):
+                yield key, ({**column, mask: 1} if key == w else column)
 
-        monkeypatch.setattr(verify, "mn_columns", planted)
+        monkeypatch.setattr(verify, "_walk", planted)
 
     def wrong_split_weight(self, monkeypatch):
         # C(n, k) + 1 for 0 < k < n: sending one of the two 1-cycles of ([1^2]|[]) to B_1 weighs 3, not 2
@@ -298,6 +382,34 @@ class TestSweepFailures:
         report = main_theorem_sweep(4)
         assert "oracle mismatch: pair=([1]|[1]) class=([1^2]|[])" in report.failures
         assert all(failure.startswith("oracle mismatch: ") for failure in report.failures)
+
+    def test_wrong_pair_layer_is_an_oracle_mismatch(self, monkeypatch):
+        # a B_n walk that drops the signs of its layers is caught at the oracle's classes
+        real = verify._pair_layer
+        monkeypatch.setattr(verify, "_pair_layer", lambda *args: {k: abs(v) for k, v in real(*args).items()})
+        failures = main_theorem_sweep(2).failures
+        assert failures[:2] == [
+            "oracle mismatch: pair=([]|[1^2]) class=([2]|[])", "oracle mismatch: pair=([1^2]|[]) class=([2]|[])"]
+
+    def test_one_pass_orders_failures_as_one_n_at_a_time(self, monkeypatch):
+        self.wrong_split_weight(monkeypatch)
+        self.colliding_basechange(monkeypatch)
+        real = verify._from_two_quotient
+        monkeypatch.setattr(verify, "_from_two_quotient", lambda *args: (lambda mask, eps: (mask, -eps))(*real(*args)))
+        whole = verify._sweep(range(1, 5))
+        parts = [verify._sweep(range(n, n + 1)) for n in range(1, 5)]
+        assert whole.failures == [failure for part in parts for failure in part.failures]
+
+        def stage(failure):  # 0 the oracle, then per target 1 + 2t its collisions and 2 + 2t its identity failures
+            if failure.startswith("oracle mismatch: "):
+                return 0
+            return (3 if "target=odd" in failure else 1) + failure.startswith("identity fails: ")
+
+        for part in parts:
+            stages = list(map(stage, part.failures))
+            assert stages == sorted(stages)
+        assert set(map(stage, parts[0].failures)) == {1, 2, 3, 4}  # the collision is at n = 1
+        assert set(map(stage, parts[1].failures)) == {0, 2, 4}  # the wrong weight first shows at n = 2
 
     @pytest.mark.parametrize(
         "fault", ["wrong_sign", "wrong_column_value", "colliding_basechange", "wrong_split_weight", "off_image_value"]
