@@ -29,9 +29,8 @@ _LAYERS = {
         "mn_character", "mn_column", "product_character",
     ),
     "hyperoctahedral": (
-        "BiPartition", "BnClass", "basechange", "bipartition", "bipartitions_of", "bn_character",
-        "bn_character_bruteforce", "bn_class", "bn_column", "bn_dimension", "format_bipartition", "norm",
-        "parse_bipartition",
+        "BiPartition", "BnClass", "basechange", "bipartition", "bipartitions_of", "bn_character", "bn_class",
+        "bn_column", "bn_dimension", "format_bipartition", "norm", "parse_bipartition",
     ),
     "symfunc": (
         "det", "mirrored_point", "mirrored_point_plus", "random_rationals", "schur_eval",

@@ -14,11 +14,14 @@ takes time about m^3.5, 8.4 s and 21 MB at m = 1,000 and 18.7 s at 1,200 on a
 memory grow about 1.55x per step of M, 6.6 s and 252 MB at M = 26, 10.3 s and
 389 MB at 27, 16.1 s and 595 MB at 28 on the same host) or a `sweep --max`
 above 16 (`SWEEP_MAX`: time about doubles per step of n, 3.6-3.7 s and 64 MB
-at 16, 7.3 s and 92 MB at 17 at --jobs 1) or a `table --n` above 16
-(`TABLE_MAX_N`: time grows about 1.8x per step of n, 7.4 s at 16 and 13.9 s at
-17, in 25 MB) or a `dims --n` above 28 (`DIMS_MAX_N`: time grows about 1.4x
-per step of n, 3.3 s and 164 MB at 28, 4.7 s and 220 MB at 29), refused
-before any work.
+at 16, 7.3 s and 92 MB at 17 at --jobs 1) or a `table --n` above 22
+(`TABLE_MAX_N`: time grows about 1.5x per step of n, 3.3-3.7 s and 67 MB at
+22, 5.1-5.6 s and 93 MB at 23) or a `dims --n` above 28 (`DIMS_MAX_N`: time
+grows about 1.4x per step of n, 3.3 s and 164 MB at 28, 4.7 s and 220 MB at
+29) or a `verify --max-size` above its check's limit (`VERIFY_MAX_SIZE`:
+frobenius 22, 4.1 s and 51 MB, against 7.0 s and 67 MB at 23; even-fact 16,
+2.9-3.1 s, against 5.0 s at 17; odd-fact 14, 3.1 s, against 6.6 s at 15; those
+two in 19 MB), refused before any work.
 Randomized verification commands print their seed in the report header.
 `sweep --jobs` (default 1) caps the worker processes, one value of n each, so
 at most min(jobs, max) start; at --jobs 1 every n goes in one streamed pass.
@@ -147,11 +150,15 @@ def _cmd_schur(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    from .symfunc import SweepFailure, factorization_even_sweep, factorization_odd_sweep, frobenius_sweep
+VERIFY_MAX_SIZE = {"frobenius": 22, "even-fact": 16, "odd-fact": 14}  # see the module docstring for their cost
 
+
+def _cmd_verify(args) -> int:
     defaults = {"frobenius": 6, "even-fact": 5, "odd-fact": 4}
     bound = args.max_size if args.max_size is not None else defaults[args.what]
+    _refuse_above(VERIFY_MAX_SIZE[args.what], bound, "verify %s --max-size" % args.what)
+    from .symfunc import SweepFailure, factorization_even_sweep, factorization_odd_sweep, frobenius_sweep
+
     lines = ["verify %s: max-size=%d seed=%d" % (args.what, bound, args.seed)]
     try:
         if args.what == "frobenius":
@@ -173,7 +180,7 @@ def _cmd_verify(args) -> int:
 _TABLE_COLUMNS = ("lambda_even", "theta_even", "theta_odd", "lambda_odd", "sign", "bn_dim")  # the TSV order
 
 
-TABLE_MAX_N = 16  # the largest table --n; see the module docstring for its cost
+TABLE_MAX_N = 22  # the largest table --n; see the module docstring for its cost
 
 
 def _cmd_table(args) -> int:

@@ -11,18 +11,13 @@ and by the sign character on each Z/2 of the p1 factor.
 Characters come from the type-B Murnaghan-Nakayama rule on the beta-set
 bitmasks of p0 and p1, with no memo: one value top-down (`bn_character`), or
 the columns over (p0, p1) of a family of classes bottom-up in one walk
-(`bn_columns`); a class's cycle lengths may come in any order.  An independent
-oracle induces every irreducible of a column from B_a x B_b (`_bruteforce_column`,
-n <= 6) as a sum over the ways to split a class's cycles between the two
-factors, each weighted by a product of binomials of cycle counts and read off
-top-down S_a and S_b values; `bn_character_bruteforce` is one entry of it.
-The module keeps no cache.
+(`bn_columns`); a class's cycle lengths may come in any order.  The module
+keeps no cache.  The group-sum oracle that cross-checks these columns lives
+in `verify`, next to the sweep, its one caller (`verify._bruteforce_column`).
 """
 
-from collections import Counter
 from functools import reduce
-from itertools import product
-from math import comb, prod
+from math import comb
 from typing import NamedTuple
 
 from .partitions import (
@@ -37,7 +32,7 @@ from .partitions import (
     _target_core,
     beta_mask,
 )
-from .characters import _pair_layer, _walk, dimension, mn_character
+from .characters import _pair_layer, _walk, dimension
 
 
 class BiPartition(NamedTuple):
@@ -163,45 +158,3 @@ def bn_columns(classes) -> dict:
 def _signed_cycles(c: BnClass) -> list:
     """Cycle lengths, longest first, negated for negative cycles."""
     return sorted(tuple(c.positive) + tuple(-v for v in c.negative), key=abs, reverse=True)
-
-
-def bn_character_bruteforce(pi: BiPartition, c: BnClass) -> int:
-    """Oracle character of the irreducible (p0, p1) at any class (n <= 6): its
-    entry in the induced column `_bruteforce_column(c)`."""
-    p0, p1 = Partition(pi[0]), Partition(pi[1])
-    c = BnClass(_cycle_type(c[0]), _cycle_type(c[1]))
-    if c.n != p0.size + p1.size:
-        raise ValueError("size mismatch: class of B_%d against irreducible of B_%d" % (c.n, p0.size + p1.size))
-    return _bruteforce_column(c).get((beta_mask(p0), beta_mask(p1)), 0)
-
-
-def _bruteforce_column(c: BnClass) -> dict:
-    """Oracle column {(beta_mask(p0), beta_mask(p1)): character} at the class c
-    of B_n (n <= 6), each irreducible induced from A = B_a x B_b with
-    a = |p0|, b = |p1|.
-
-    On A the inducing character is chi_p0 on B_a times chi_p1 twisted by the
-    signs on B_b, i.e. (-1)^(negative cycles), each read at the underlying cycle
-    type.  Ind_A^G psi(c) is the sum over the splits of c's cycles into classes
-    c0 of B_a and c1 of B_b of |Z(c)| / (|Z(c0)| |Z(c1)|) psi(c0, c1).  A class
-    (alpha|beta) has centralizer order 2^(l(alpha)+l(beta)) z_alpha z_beta
-    (Geck-Pfeiffer 2000), so when k of the m cycles of each (length, sign) go
-    to B_a the weight is the product of the binomials C(m, k): an integer.  One
-    split serves every (p0, p1) of its sizes, as the outer product of the S_a
-    values at c0 and the S_b values at c1, each top-down by `mn_character`.
-    """
-    if c.n > 6:
-        raise ValueError("oracle scale exceeded: n = %d > 6" % c.n)
-    kinds = Counter(_signed_cycles(c))  # cycle length, negated when negative -> count
-    column = {}
-    for split in product(*(range(m + 1) for m in kinds.values())):  # k of each kind go to B_a
-        c0 = _partition(abs(t) for t, k in zip(kinds, split) for _ in range(k))  # kinds come longest first
-        rest = [(t, m - k) for (t, m), k in zip(kinds.items(), split)]  # r of each kind go to B_b
-        c1 = _partition(abs(t) for t, r in rest for _ in range(r))
-        weight = prod(map(comb, kinds.values(), split)) * (-1) ** sum(r for t, r in rest if t < 0)
-        values1 = [(beta_mask(p1), mn_character(p1, c1)) for p1 in partitions_of(c1.size)]
-        for p0 in partitions_of(c0.size):
-            mask0, value0 = beta_mask(p0), weight * mn_character(p0, c0)
-            for mask1, value1 in values1:
-                column[mask0, mask1] = column.get((mask0, mask1), 0) + value0 * value1
-    return {key: value for key, value in column.items() if value}

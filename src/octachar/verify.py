@@ -2,12 +2,16 @@
 
 These drive the other modules over whole families of partitions and classes.
 They read characters by columns: the table and the dimension match read the
-column at `w0_class(m)`, and the sweep streams the columns of every n at once
-from three `characters._walk`s in lockstep (B_n at (rho|()), S_2n at 2rho and
+column at `w0_class(m)`, the table each row's theta at its basechange bitmask,
+and both take the B_n dimensions from one table of `dimension` per partition
+(`_bn_dimensions`).  The sweep streams the columns of every n at once from
+three `characters._walk`s in lockstep (B_n at (rho|()), S_2n at 2rho and
 S_2n+1 at 2rho + (1)) and compares each S_m column whole with the B_n column
 at its norm, re-keyed by basechange bitmask and signed, before the walks move
-on.  Both the table and the sweep read a pair's basechange bitmask and shuffle
-sign off one abacus join of its two quotient bitmasks
+on.  It checks the B_n columns of n <= 4 against an independent group-sum
+oracle that induces from B_a x B_b (`_bruteforce_column`), kept here beside
+its one caller.  Both the table and the sweep read a pair's basechange bitmask
+and shuffle sign off one abacus join of its two quotient bitmasks
 (`partitions._from_two_quotient`, over `partitions._join`).  The sweep can
 farm the values of n out to worker processes, one n each; it imports
 `multiprocessing` only when it starts more than one, so a run that starts no
@@ -15,14 +19,15 @@ pool does not pay for loading it.  The records are `NamedTuple`s and one
 plain class, not dataclasses, for the same reason.
 """
 
-from collections import defaultdict
-from math import comb
+from collections import Counter, defaultdict
+from itertools import product
+from math import comb, prod
 from typing import NamedTuple
 
-from .partitions import Partition, _TARGET_CORES, _from_mask, _from_two_quotient, _target_core, beta_mask
-from .partitions import hook_layer, partitions_of
+from .partitions import Partition, _TARGET_CORES, _from_mask, _from_two_quotient, _partition, _target_core
+from .partitions import beta_mask, hook_layer, partitions_of
 from .characters import _pair_layer, _walk, dimension, even_cycle_classes, mn_character, mn_column
-from .hyperoctahedral import BnClass, _bruteforce_column, bipartitions_of, bn_dimension, norm
+from .hyperoctahedral import BnClass, _signed_cycles, bipartitions_of, norm
 
 
 def w0_class(m: int) -> Partition:
@@ -57,31 +62,28 @@ class TableResult(NamedTuple):
 
 def build_table(n: int) -> TableResult:
     """Rows for every bipartition of n, sorted by lambda_even, plus the
-    partitions of 2n and 2n+1 whose character vanishes on the involution class."""
+    partitions of 2n and 2n+1 whose character vanishes on the involution class.
+    A row's thetas are the involution columns' entries at its basechange bitmasks."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    w_even = w0_class(2 * n)
-    w_odd = w0_class(2 * n + 1)
+    col_even, col_odd = mn_column(w0_class(2 * n)), mn_column(w0_class(2 * n + 1))
     rows = []
-    for pair in bipartitions_of(n):
+    for pair, bn_dim in zip(bipartitions_of(n), _bn_dimensions(n), strict=True):
         key = beta_mask(pair[0]), beta_mask(pair[1])
-        even, sign = _from_two_quotient(*key, 0)
-        lam_even, lam_odd = _from_mask(even), _from_mask(_from_two_quotient(*key, 1)[0])
-        rows.append(
-            CorrespondenceRow(
-                lambda_even=lam_even,
-                lambda_odd=lam_odd,
-                theta_even=mn_character(lam_even, w_even),
-                theta_odd=mn_character(lam_odd, w_odd),
-                sign=sign,
-                bn_dim=bn_dimension(pair),
-            )
-        )
+        (even, sign), (odd, _) = _from_two_quotient(*key, 0), _from_two_quotient(*key, 1)
+        theta_even, theta_odd = col_even.get(even, 0), col_odd.get(odd, 0)
+        rows.append(CorrespondenceRow(_from_mask(even), _from_mask(odd), theta_even, theta_odd, sign, bn_dim))
     rows.sort(key=lambda row: row.lambda_even)
-    col_even, col_odd = mn_column(w_even), mn_column(w_odd)
     excluded_even = tuple(lam for lam in sorted(partitions_of(2 * n)) if beta_mask(lam) not in col_even)
     excluded_odd = tuple(lam for lam in sorted(partitions_of(2 * n + 1)) if beta_mask(lam) not in col_odd)
     return TableResult(n, tuple(rows), excluded_even, excluded_odd)
+
+
+def _bn_dimensions(n: int) -> list:
+    """C(n, |p0|) dim(p0) dim(p1) for every (p0, p1) in `bipartitions_of(n)`
+    order, from one `dimension` per partition of each k <= n."""
+    dims = [[dimension(lam) for lam in partitions_of(k)] for k in range(n + 1)]
+    return [comb(n, k) * a * b for k in range(n + 1) for a in dims[k] for b in dims[n - k]]
 
 
 def _map(fn, items, jobs: int) -> list:
@@ -98,13 +100,11 @@ def _map(fn, items, jobs: int) -> list:
 
 def dimension_match(n: int, target: str) -> bool:
     """True when B_n irreducible dimensions and the nonzero |character at the
-    involution| over S_2n (or S_2n+1) agree as multisets.  The dimension of
-    (p0, p1) is C(n, |p0|) dim(p0) dim(p1), from one table of `dimension`."""
+    involution| over S_2n (or S_2n+1) agree as multisets."""
     if n < 1:
         raise ValueError("n must be at least 1")
     thetas = sorted(abs(v) for v in mn_column(w0_class(2 * n + _target_core(target).size)).values())
-    dims = [[dimension(lam) for lam in partitions_of(k)] for k in range(n + 1)]  # once per partition
-    return sorted(comb(n, k) * a * b for k in range(n + 1) for a in dims[k] for b in dims[n - k]) == thetas
+    return sorted(_bn_dimensions(n)) == thetas
 
 
 class SweepReport:
@@ -130,6 +130,38 @@ def _sweep_one_bipartition(failures, pair, key, target, odd_size, named) -> tupl
 
 
 _ORACLE_MAX = 4  # the largest n whose B_n columns the sweep checks against the oracle
+
+
+def _bruteforce_column(c: BnClass) -> dict:
+    """Oracle column {(beta_mask(p0), beta_mask(p1)): character} at the class c
+    of B_n (n <= 6), each irreducible induced from A = B_a x B_b with
+    a = |p0|, b = |p1|.
+
+    On A the inducing character is chi_p0 on B_a times chi_p1 twisted by the
+    signs on B_b, i.e. (-1)^(negative cycles), each read at the underlying cycle
+    type.  Ind_A^G psi(c) is the sum over the splits of c's cycles into classes
+    c0 of B_a and c1 of B_b of |Z(c)| / (|Z(c0)| |Z(c1)|) psi(c0, c1).  A class
+    (alpha|beta) has centralizer order 2^(l(alpha)+l(beta)) z_alpha z_beta
+    (Geck-Pfeiffer 2000), so when k of the m cycles of each (length, sign) go
+    to B_a the weight is the product of the binomials C(m, k): an integer.  One
+    split serves every (p0, p1) of its sizes, as the outer product of the S_a
+    values at c0 and the S_b values at c1, each top-down by `mn_character`.
+    """
+    if c.n > 6:
+        raise ValueError("oracle scale exceeded: n = %d > 6" % c.n)
+    kinds = Counter(_signed_cycles(c))  # cycle length, negated when negative -> count
+    column = {}
+    for split in product(*(range(m + 1) for m in kinds.values())):  # k of each kind go to B_a
+        c0 = _partition(abs(t) for t, k in zip(kinds, split) for _ in range(k))  # kinds come longest first
+        rest = [(t, m - k) for (t, m), k in zip(kinds.items(), split)]  # r of each kind go to B_b
+        c1 = _partition(abs(t) for t, r in rest for _ in range(r))
+        weight = prod(map(comb, kinds.values(), split)) * (-1) ** sum(r for t, r in rest if t < 0)
+        values1 = [(beta_mask(p1), mn_character(p1, c1)) for p1 in partitions_of(c1.size)]
+        for p0 in partitions_of(c0.size):
+            mask0, value0 = beta_mask(p0), weight * mn_character(p0, c0)
+            for mask1, value1 in values1:
+                column[mask0, mask1] = column.get((mask0, mask1), 0) + value0 * value1
+    return {key: value for key, value in column.items() if value}
 
 
 def _sweep(ns) -> SweepReport:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import octachar
 from octachar import cli, partitions
-from octachar.cli import CENSUS_MAX_M, CHARTABLE_MAX_M, DIMS_MAX_N, SWEEP_MAX, TABLE_MAX_N, main
+from octachar.cli import CENSUS_MAX_M, CHARTABLE_MAX_M, DIMS_MAX_N, SWEEP_MAX, TABLE_MAX_N, VERIFY_MAX_SIZE, main
 from octachar.partitions import format_partition, parse_partition, partitions_of
 from octachar.symfunc import random_rationals
 from octachar.characters import dimension
@@ -364,17 +364,23 @@ def test_chartable_past_the_limit_is_refused_before_work(m):
         (["table", "--n", str(10**8), "--json"], "table --n %d" % 10**8),
         (["dims", "--n", str(DIMS_MAX_N + 1), "--target", "even"], "dims --n %d" % (DIMS_MAX_N + 1)),
         (["dims", "--n", str(10**8), "--target", "odd"], "dims --n %d" % 10**8),
+        *(
+            (["verify", what, "--max-size", str(size)], "verify %s --max-size %d" % (what, size))
+            for what, limit in VERIFY_MAX_SIZE.items()
+            for size in (limit + 1, 10**8)
+        ),
     ],
     ids=" ".join,
 )
 def test_sweep_and_table_past_the_limit_are_refused_before_work(argv, message):
-    limit = {"sweep": SWEEP_MAX, "table": TABLE_MAX_N, "dims": DIMS_MAX_N}[argv[0]]
+    limits = {"sweep": SWEEP_MAX, "table": TABLE_MAX_N, "dims": DIMS_MAX_N, **VERIFY_MAX_SIZE}
+    limit = limits[argv[1] if argv[0] == "verify" else argv[0]]
     src = str(Path(octachar.__file__).resolve().parent.parent)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from octachar.cli import main; code = main(sys.argv[1:]); "
-         "print('octachar.verify' in sys.modules); sys.exit(code)", *argv],
+         "print('octachar.verify' in sys.modules or 'octachar.symfunc' in sys.modules); sys.exit(code)", *argv],
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
     )
@@ -389,6 +395,9 @@ def test_sweep_and_table_past_the_limit_are_refused_before_work(argv, message):
         (["sweep", "--max", str(SWEEP_MAX)], "main_theorem_sweep"),
         (["table", "--n", str(TABLE_MAX_N)], "build_table"),
         (["dims", "--target", "even", "--n", str(DIMS_MAX_N)], "dimension_match"),
+        (["verify", "frobenius", "--max-size", str(VERIFY_MAX_SIZE["frobenius"])], "frobenius_sweep"),
+        (["verify", "even-fact", "--max-size", str(VERIFY_MAX_SIZE["even-fact"])], "factorization_even_sweep"),
+        (["verify", "odd-fact", "--max-size", str(VERIFY_MAX_SIZE["odd-fact"])], "factorization_odd_sweep"),
     ],
     ids=" ".join,
 )
@@ -399,7 +408,7 @@ def test_sweep_and_table_at_the_limit_run(monkeypatch, capsys, argv, target):
         calls.append(n)
         raise ValueError("stopped")
 
-    monkeypatch.setattr("octachar.verify." + target, stop)
+    monkeypatch.setattr("octachar.%s.%s" % ("symfunc" if argv[0] == "verify" else "verify", target), stop)
     assert run(capsys, *argv) == (2, "", "error: stopped\n")
     assert calls == [int(argv[-1])]
 

@@ -21,8 +21,7 @@ LAYERS = ("partitions", "census", "characters", "hyperoctahedral", "symfunc", "v
 EXPORTS = {
     "BiPartition", "BnClass", "CorrespondenceRow", "Partition", "PartitionParseError", "SignCensus",
     "SweepReport", "TableResult", "basechange", "beta_mask", "bipartition", "bipartitions_of",
-    "bn_character", "bn_character_bruteforce", "bn_class", "bn_column", "bn_dimension", "build_table",
-    "centralizer_order",
+    "bn_character", "bn_class", "bn_column", "bn_dimension", "build_table", "centralizer_order",
     "character_table", "class_size", "clear_caches", "det", "dimension", "dimension_match",
     "even_cycle_classes", "format_bipartition", "format_partition", "from_core_and_quotient",
     "hook_lengths", "main_theorem_sweep", "mirrored_point", "mirrored_point_plus", "mn_character",

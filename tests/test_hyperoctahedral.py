@@ -17,7 +17,6 @@ from octachar.hyperoctahedral import (
     bipartition,
     bipartitions_of,
     bn_character,
-    bn_character_bruteforce,
     bn_class,
     bn_column,
     bn_columns,
@@ -25,9 +24,9 @@ from octachar.hyperoctahedral import (
     format_bipartition,
     norm,
     parse_bipartition,
-    _bruteforce_column,
     _signed_cycles,
 )
+from octachar.verify import _bruteforce_column
 
 from oracles import (
     bn_by_recursion,
@@ -42,6 +41,11 @@ from oracles import (
 
 def P(text):
     return parse_partition(text)
+
+
+def oracle_character(pair, c):
+    """The group-sum oracle's value of the irreducible `pair` at the class `c`."""
+    return _bruteforce_column(c).get((beta_mask(pair.p0), beta_mask(pair.p1)), 0)
 
 
 class TestEmbedding:
@@ -187,21 +191,19 @@ class TestSignedPermutations:
 class TestBruteForceOracle:
     def test_b1_values(self):
         negative = bn_class([], [1])
-        assert bn_character_bruteforce(bipartition([1], []), negative) == 1
-        assert bn_character_bruteforce(bipartition([], [1]), negative) == -1
+        assert oracle_character(bipartition([1], []), negative) == 1
+        assert oracle_character(bipartition([], [1]), negative) == -1
 
     def test_scale_guard(self):
         with pytest.raises(ValueError, match="oracle scale exceeded"):
-            bn_character_bruteforce(bipartition([7], []), bn_class([7], []))
+            _bruteforce_column(bn_class([7], []))
 
     def test_positive_route_matches_oracle(self):
         for n in range(1, 5):
             for pair in bipartitions_of(n):
                 for rho in partitions_of(n):
                     c = bn_class(rho, [])
-                    assert bn_character(pair, c) == bn_character_bruteforce(
-                        pair, c
-                    ), (pair, c)
+                    assert bn_character(pair, c) == oracle_character(pair, c), (pair, c)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_full_table_orthogonality(self, n):
@@ -210,7 +212,7 @@ class TestBruteForceOracle:
         order = sum(sizes.values())
         pairs = list(bipartitions_of(n))
         table = {
-            pair: {c: bn_character_bruteforce(pair, c) for c in sizes}
+            pair: {c: oracle_character(pair, c) for c in sizes}
             for pair in pairs
         }
         for i, a in enumerate(pairs):
@@ -237,7 +239,7 @@ class TestBruteForceOracle:
         for n in range(1, 5):
             identity = bn_class([1] * n, [])
             for pair in bipartitions_of(n):
-                assert bn_character_bruteforce(pair, identity) == bn_dimension(pair)
+                assert oracle_character(pair, identity) == bn_dimension(pair)
 
 
 def _bn_classes(n):
@@ -268,7 +270,7 @@ class TestMurnaghanNakayamaB:
         for n in range(1, 5):
             for pair in bipartitions_of(n):
                 for c in _bn_classes(n):
-                    assert bn_character(pair, c) == bn_character_bruteforce(pair, c), (pair, c)
+                    assert bn_character(pair, c) == oracle_character(pair, c), (pair, c)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_matches_oracle_at_every_class_up_to_its_scale(self, n):
@@ -302,16 +304,14 @@ class TestMurnaghanNakayamaB:
                 assert column == (z[c] if c == d else 0), (c, d)
 
     def test_size_mismatch(self):
-        for route in (bn_character, bn_character_bruteforce):
-            with pytest.raises(ValueError, match="^size mismatch: class of B_2 against irreducible of B_3$"):
-                route(bipartition([2], [1]), bn_class([2], []))
+        with pytest.raises(ValueError, match="^size mismatch: class of B_2 against irreducible of B_3$"):
+            bn_character(bipartition([2], [1]), bn_class([2], []))
 
     def test_cycle_lengths_in_any_order(self):
         pair = bipartition([2, 1], [1])
-        for route in (bn_character, bn_character_bruteforce):
-            expected = route(pair, bn_class([2, 1], [1]))
-            assert route(pair, ((1, 2), (1,))) == expected
-            assert route(pair, [[1, 2], [1]]) == expected
+        expected = bn_character(pair, bn_class([2, 1], [1]))
+        assert bn_character(pair, ((1, 2), (1,))) == expected
+        assert bn_character(pair, [[1, 2], [1]]) == expected
         assert bn_character(bipartition([2, 1], []), ((1, 2), ())) == bn_character(
             bipartition([2, 1], []), bn_class([2, 1], [])
         )
@@ -340,7 +340,7 @@ class TestMurnaghanNakayamaB:
             for c in _bn_classes(n):
                 column = bn_column(c)
                 for pair in bipartitions_of(n):
-                    value = bn_character_bruteforce(pair, c)
+                    value = oracle_character(pair, c)
                     assert column.get((beta_mask(pair.p0), beta_mask(pair.p1)), 0) == value, (pair, c)
                 assert 0 not in column.values()
 

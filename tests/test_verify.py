@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from octachar import characters, hyperoctahedral, partitions, verify
+from octachar import characters, partitions, verify
 from octachar.cli import main
 from octachar.partitions import Partition, beta_mask, parse_partition, partitions_of, sign_shuffle
 from octachar.characters import even_cycle_classes, mn_character
@@ -62,6 +62,17 @@ class TestBuildTable:
             assert abs(row.theta_even) == row.bn_dim
             assert abs(row.theta_odd) == row.bn_dim
             assert row.theta_even == row.sign * row.bn_dim
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_reads_theta_off_the_columns(self, n, monkeypatch):
+        # each row's thetas are entries of the two involution columns, not one walk per row
+        expected = build_table(n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_table read a character top-down")
+
+        monkeypatch.setattr(verify, "mn_character", refuse)
+        assert build_table(n) == expected
 
     @pytest.mark.parametrize("target", ["even", "odd"])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -151,12 +162,14 @@ class TestDimensionMatch:
             dimension_match(3, "diagonal")
 
     def test_each_dimension_is_computed_once(self, monkeypatch):
-        calls = []
+        # the dimension match and the table read one table of dimensions
         real = verify.dimension
-        monkeypatch.setattr(verify, "dimension", lambda lam: calls.append(lam) or real(lam))
-        assert dimension_match(12, "odd")
-        assert sorted(calls) == sorted(lam for k in range(13) for lam in partitions_of(k))  # 1 + 1 + ... + 77
-        assert len(calls) == sum(partition_counts(12)) == 272
+        for run in (lambda: dimension_match(12, "odd"), lambda: build_table(12)):
+            calls = []
+            monkeypatch.setattr(verify, "dimension", lambda lam: calls.append(lam) or real(lam))
+            assert run()
+            assert sorted(calls) == sorted(lam for k in range(13) for lam in partitions_of(k))  # 1 + 1 + ... + 77
+            assert len(calls) == sum(partition_counts(12)) == 272
 
 
 class TestMainTheoremSweep:
@@ -316,7 +329,7 @@ class TestSweepFailures:
 
     def wrong_split_weight(self, monkeypatch):
         # C(n, k) + 1 for 0 < k < n: sending one of the two 1-cycles of ([1^2]|[]) to B_1 weighs 3, not 2
-        monkeypatch.setattr(hyperoctahedral, "comb", lambda n, k: comb(n, k) + (0 < k < n))
+        monkeypatch.setattr(verify, "comb", lambda n, k: comb(n, k) + (0 < k < n))
 
     def test_wrong_sign_names_pair_and_every_class(self, monkeypatch):
         self.wrong_sign(monkeypatch)
@@ -378,7 +391,7 @@ class TestSweepFailures:
 
     def test_wrong_split_weight_is_an_oracle_mismatch(self, monkeypatch):
         self.wrong_split_weight(monkeypatch)
-        assert hyperoctahedral.bn_character_bruteforce(bipartition([1], [1]), bn_class([1, 1], [])) == 3
+        assert verify._bruteforce_column(bn_class([1, 1], []))[beta_mask(P("[1]")), beta_mask(P("[1]"))] == 3
         report = main_theorem_sweep(4)
         assert "oracle mismatch: pair=([1]|[1]) class=([1^2]|[])" in report.failures
         assert all(failure.startswith("oracle mismatch: ") for failure in report.failures)
