@@ -29,6 +29,9 @@ at most min(jobs, max) start; at --jobs 1 every n goes in one streamed pass.
 A command imports only the layers it runs: this module imports none at load,
 and each handler imports the layers it runs itself, `partitions` included
 where it uses it; tests/test_startup.py pins which.
+Loading this module registers `gc.freeze` with `atexit`, so a CLI process
+skips the cyclic collector's walk over every object still alive at shutdown;
+`import octachar` and the layers register nothing.
 
 The command line is read from `_COMMANDS`, one table that dispatch reads too:
 the command name, then its positionals in order and its options in any order,
@@ -40,8 +43,12 @@ missing or extra argument, a bad int or choice, `--jobs 0`) prints the usage
 and `octachar: error: ...` to stderr and raises SystemExit(2).
 """
 
+import atexit
+import gc
 import sys
 from types import SimpleNamespace
+
+atexit.register(gc.freeze)  # one command per process: spare the shutdown collections a walk over every live object
 
 
 def _refuse_above(limit: int, value: int, what: str) -> None:

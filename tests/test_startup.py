@@ -5,7 +5,8 @@ run, so a module that the run never uses is pure cost.  Each handler imports
 its own layers; LAYERS_BY_COMMAND pins which.  The children run without
 `site` (`-S`), and the baseline is a bare interpreter's `sys.modules`, so
 what a host's site hooks load neither hides a module octachar loads nor is
-blamed on octachar.
+blamed on octachar.  A run's shutdown is a fixed cost too: `cli` freezes the
+collector at exit, and the library leaves shutdown as it is.
 """
 
 import os
@@ -28,13 +29,18 @@ HYPEROCTAHEDRAL = CHARACTERS | {"octachar.hyperoctahedral"}
 HARNESS = HYPEROCTAHEDRAL | {"octachar.verify"}
 
 
-def _loaded(*args) -> set:
-    """Modules in sys.modules at the end of `python -S -c ...`, read off its last stdout line."""
-    proc = subprocess.run(
+def _python(*args) -> subprocess.CompletedProcess:
+    """`python -S -c ...` with octachar's source on the path."""
+    return subprocess.run(
         [sys.executable, "-S", "-c", *args],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
     )
+
+
+def _loaded(*args) -> set:
+    """Modules in sys.modules at the end of `python -S -c ...`, read off its last stdout line."""
+    proc = _python(*args)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
@@ -129,3 +135,21 @@ def test_guard_sees_a_layer(baseline):
     assert _layers(loaded) == {"octachar", "octachar.census"}
     loaded = _loaded("import sys, octachar; octachar.main_theorem_sweep; " + LIST_MODULES) - baseline
     assert _layers(loaded) == HARNESS - {"octachar.cli"}
+
+
+# registered before octachar loads, so atexit (last in, first out) runs it after cli's freeze
+PRINT_FROZEN_AT_EXIT = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+
+
+@pytest.mark.parametrize(
+    "code, returncode, frozen",
+    [
+        ("from octachar.cli import main; main(['census', '--m', '6'])", 0, True),
+        ("from octachar.cli import main; main(['census', '--bogus'])", 2, True),  # SystemExit(2)
+        ("import octachar; octachar.sign_census(6)", 0, False),
+    ],
+    ids=["command", "usage error", "library"],
+)
+def test_only_the_cli_freezes_the_collector_at_exit(code, returncode, frozen):
+    proc = _python(PRINT_FROZEN_AT_EXIT + code)
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (returncode, str(frozen)), proc.stderr

@@ -482,6 +482,14 @@ class TestFactorizationEven:
     def test_sweep(self):
         assert factorization_even_sweep(3, seed=1) > 0
 
+    def test_own_core_with_a_nonzero_value_fails(self, monkeypatch):
+        # [3,2,1] is its own 2-core, so its value must vanish
+        plant_nonzero_schur(monkeypatch, "[3,2,1]")
+        assert not verify_factorization_even(P("[3,2,1]"), [F(2), F(3), F(5)])
+        with pytest.raises(SweepFailure) as failure:
+            factorization_even_sweep(3, 0)
+        assert str(failure.value).startswith("even factorization failed at lam=[3,2,1] X=")
+
     def test_sweep_failure_reported(self, monkeypatch):
         # sabotage: eps = +1 everywhere; [1^2] has shuffle sign -1 and fails first, at n = 1
         xs = random_rationals(1, random.Random(0))
@@ -503,6 +511,14 @@ class TestFactorizationOdd:
         assert schur_eval(Partition([1, 1]), [F(5, 4)]) == 0
         assert verify_factorization_odd(Partition([1, 1]), [], F(5, 4))
         assert verify_factorization_even(P("[2^2,1^2]"), [F(5, 4)])
+
+    def test_own_core_with_a_nonzero_value_fails(self, monkeypatch):
+        # [2,1] is its own 2-core, so its value must vanish
+        plant_nonzero_schur(monkeypatch, "[2,1]")
+        assert not verify_factorization_odd(P("[2,1]"), [F(3)], F(5, 4))
+        with pytest.raises(SweepFailure) as failure:
+            factorization_odd_sweep(1, 0)
+        assert str(failure.value).startswith("odd factorization failed at lam=[2,1] X=")
 
     @pytest.mark.parametrize("fault, lam", [("plus_sign", "[2,1]"), ("swapped_quotient", "[3]")])
     def test_sweep_failure_reported(self, monkeypatch, fault, lam):
@@ -561,6 +577,12 @@ class TestFactorizationOdd:
             )
             assert coeffs[1] == expected
             assert any(c != 0 for c in coeffs)
+
+
+def plant_nonzero_schur(monkeypatch, lam):
+    """Make symfunc.schur_eval read 1 at `lam` and the true value everywhere else."""
+    real, planted = symfunc.schur_eval, P(lam)
+    monkeypatch.setattr(symfunc, "schur_eval", lambda mu, values: 1 if Partition(mu) == planted else real(mu, values))
 
 
 def sabotage(monkeypatch, fault):
