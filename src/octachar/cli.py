@@ -8,20 +8,8 @@ line is printed), or a `schur --at` value with more digits or a larger exponent
 than the interpreter's int/str digit limit (4300 by default), refused before it
 is built, or a `schur` result whose numerator and denominator have more than
 100,000 digits together (`RESULT_DIGITS`; a shorter one prints in full, past
-the 4300-digit limit), or a `census --m` above 1,000 (`CENSUS_MAX_M`: the scan
-takes time about m^3.5, 8.4 s and 21 MB at m = 1,000 and 18.7 s at 1,200 on a
-2-vCPU x86-64 host) or a `chartable M` above 27 (`CHARTABLE_MAX_M`: time and
-memory grow about 1.55x per step of M, 6.6 s and 252 MB at M = 26, 10.3 s and
-389 MB at 27, 16.1 s and 595 MB at 28 on the same host) or a `sweep --max`
-above 16 (`SWEEP_MAX`: time about doubles per step of n, 3.6-3.7 s and 64 MB
-at 16, 7.3 s and 92 MB at 17 at --jobs 1) or a `table --n` above 22
-(`TABLE_MAX_N`: time grows about 1.5x per step of n, 3.3-3.7 s and 67 MB at
-22, 5.1-5.6 s and 93 MB at 23) or a `dims --n` above 28 (`DIMS_MAX_N`: time
-grows about 1.4x per step of n, 3.3 s and 164 MB at 28, 4.7 s and 220 MB at
-29) or a `verify --max-size` above its check's limit (`VERIFY_MAX_SIZE`:
-frobenius 22, 4.1 s and 51 MB, against 7.0 s and 67 MB at 23; even-fact 16,
-2.9-3.1 s, against 5.0 s at 17; odd-fact 14, 3.1 s, against 6.6 s at 15; those
-two in 19 MB), refused before any work.
+the 4300-digit limit), or a size above its command's limit in `LIMITS`,
+refused before any work (the README gives each limit's cost).
 Randomized verification commands print their seed in the report header.
 `sweep --jobs` (default 1) caps the worker processes, one value of n each, so
 at most min(jobs, max) start; at --jobs 1 every n goes in one streamed pass.
@@ -51,10 +39,16 @@ from types import SimpleNamespace
 atexit.register(gc.freeze)  # one command per process: spare the shutdown collections a walk over every live object
 
 
-def _refuse_above(limit: int, value: int, what: str) -> None:
-    """Refuse a size above its stated limit, before the command loads or runs anything."""
-    if value > limit:
-        raise ValueError("%s %d exceeds the limit of %d" % (what, value, limit))
+LIMITS = {  # the largest size of each command, keyed by the words its refusal prints
+    "chartable": 27, "census --m": 1_000, "sweep --max": 16, "table --n": 22, "dims --n": 28,
+    "verify frobenius --max-size": 22, "verify even-fact --max-size": 16, "verify odd-fact --max-size": 14,
+}
+
+
+def _refuse_above(what: str, value: int) -> None:
+    """Refuse a size above its limit in LIMITS, before the command loads or runs anything."""
+    if value > LIMITS[what]:
+        raise ValueError("%s %d exceeds the limit of %d" % (what, value, LIMITS[what]))
 
 
 def _jobs_value(value) -> int:
@@ -74,11 +68,8 @@ def _cmd_char(args) -> int:
     return 0
 
 
-CHARTABLE_MAX_M = 27  # the largest chartable M; see the module docstring for its cost
-
-
 def _cmd_chartable(args) -> int:
-    _refuse_above(CHARTABLE_MAX_M, args.m, "chartable")
+    _refuse_above("chartable", args.m)
     from .characters import character_table
     from .partitions import format_partition
 
@@ -157,13 +148,10 @@ def _cmd_schur(args) -> int:
     return 0
 
 
-VERIFY_MAX_SIZE = {"frobenius": 22, "even-fact": 16, "odd-fact": 14}  # see the module docstring for their cost
-
-
 def _cmd_verify(args) -> int:
     defaults = {"frobenius": 6, "even-fact": 5, "odd-fact": 4}
     bound = args.max_size if args.max_size is not None else defaults[args.what]
-    _refuse_above(VERIFY_MAX_SIZE[args.what], bound, "verify %s --max-size" % args.what)
+    _refuse_above("verify %s --max-size" % args.what, bound)
     from .symfunc import SweepFailure, factorization_even_sweep, factorization_odd_sweep, frobenius_sweep
 
     lines = ["verify %s: max-size=%d seed=%d" % (args.what, bound, args.seed)]
@@ -187,11 +175,8 @@ def _cmd_verify(args) -> int:
 _TABLE_COLUMNS = ("lambda_even", "theta_even", "theta_odd", "lambda_odd", "sign", "bn_dim")  # the TSV order
 
 
-TABLE_MAX_N = 22  # the largest table --n; see the module docstring for its cost
-
-
 def _cmd_table(args) -> int:
-    _refuse_above(TABLE_MAX_N, args.n, "table --n")
+    _refuse_above("table --n", args.n)
     from .partitions import Partition, format_partition
     from .verify import build_table
 
@@ -212,11 +197,8 @@ def _cmd_table(args) -> int:
     return 0
 
 
-CENSUS_MAX_M = 1_000  # the largest census --m; see the module docstring for its cost
-
-
 def _cmd_census(args) -> int:
-    _refuse_above(CENSUS_MAX_M, args.m, "census --m")
+    _refuse_above("census --m", args.m)
     from .census import sign_census
 
     census = sign_census(args.m)
@@ -227,11 +209,8 @@ def _cmd_census(args) -> int:
     return 0
 
 
-SWEEP_MAX = 16  # the largest sweep --max; see the module docstring for its cost
-
-
 def _cmd_sweep(args) -> int:
-    _refuse_above(SWEEP_MAX, args.max, "sweep --max")
+    _refuse_above("sweep --max", args.max)
     from .verify import main_theorem_sweep
 
     report = main_theorem_sweep(args.max, jobs=args.jobs)
@@ -245,11 +224,8 @@ def _cmd_sweep(args) -> int:
     return 0 if report.ok else 1
 
 
-DIMS_MAX_N = 28  # the largest dims --n; see the module docstring for its cost
-
-
 def _cmd_dims(args) -> int:
-    _refuse_above(DIMS_MAX_N, args.n, "dims --n")
+    _refuse_above("dims --n", args.n)
     from .census import partition_counts
     from .verify import dimension_match
 

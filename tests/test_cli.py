@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import octachar
 from octachar import cli, partitions
-from octachar.cli import CENSUS_MAX_M, CHARTABLE_MAX_M, DIMS_MAX_N, SWEEP_MAX, TABLE_MAX_N, VERIFY_MAX_SIZE, main
+from octachar.cli import LIMITS, main
 from octachar.partitions import format_partition, parse_partition, partitions_of
 from octachar.symfunc import random_rationals
 from octachar.characters import dimension
@@ -289,19 +289,26 @@ class TestCensusSweepDims:
         assert out == "MISMATCH: B_2 dimensions differ from the |character| multiset\n"
 
 
+SRC = str(Path(octachar.__file__).resolve().parent.parent)
+RUN_MAIN = "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # an eager expansion fails, not the host
 
 
-def test_huge_exponent_is_rejected_before_expansion():
-    src = str(Path(octachar.__file__).resolve().parent.parent)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
-         "char", "[1^1000000000]", "[1]"],
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+def _fresh(*argv, code=RUN_MAIN, timeout=60) -> subprocess.CompletedProcess:
+    """`python -c code *argv` in a fresh interpreter, with octachar's source on
+    the path and its address space capped at 1 GB."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=timeout, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
     )
+
+
+def test_huge_exponent_is_rejected_before_expansion():
+    start = time.perf_counter()
+    proc = _fresh("char", "[1^1000000000]", "[1]")
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2
     assert "more than 10000 parts" in proc.stderr
@@ -310,14 +317,8 @@ def test_huge_exponent_is_rejected_before_expansion():
 
 @pytest.mark.parametrize("value", ["1e20000000", "1e200000000", "1E-99999", "1/" + "3" * 5000])
 def test_huge_point_value_is_rejected_before_conversion(value):
-    src = str(Path(octachar.__file__).resolve().parent.parent)
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
-         "schur", "[1]", "--at", "1," + value],
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
+    proc = _fresh("schur", "[1]", "--at", "1," + value)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2
     assert "exceeds 4300 digits" in proc.stderr
@@ -325,92 +326,51 @@ def test_huge_point_value_is_rejected_before_conversion(value):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("m", [CENSUS_MAX_M + 1, 10**8])
-def test_census_past_the_limit_is_refused_before_work(m):
-    src = str(Path(octachar.__file__).resolve().parent.parent)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
-         "census", "--m", str(m)],
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
-    assert time.perf_counter() - start < 1
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: census --m %d exceeds the limit of %d\n" % (m, CENSUS_MAX_M)
+# The layer function each limited command hands its size to, and the options
+# its command line carries after the size: dims requires --target, and a sweep
+# at --jobs 2 must be refused before it starts a pool.
+LIMITED = {
+    "chartable": ("characters.character_table", ()),
+    "census --m": ("census.sign_census", ()),
+    "sweep --max": ("verify.main_theorem_sweep", ("--jobs", "2")),
+    "table --n": ("verify.build_table", ("--json",)),
+    "dims --n": ("verify.dimension_match", ("--target", "odd")),
+    "verify frobenius --max-size": ("symfunc.frobenius_sweep", ()),
+    "verify even-fact --max-size": ("symfunc.factorization_even_sweep", ()),
+    "verify odd-fact --max-size": ("symfunc.factorization_odd_sweep", ()),
+}
 
 
-@pytest.mark.parametrize("m", [CHARTABLE_MAX_M + 1, 10**8])
-def test_chartable_past_the_limit_is_refused_before_work(m):
-    src = str(Path(octachar.__file__).resolve().parent.parent)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
-         "chartable", str(m)],
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
-    assert time.perf_counter() - start < 1
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: chartable %d exceeds the limit of %d\n" % (m, CHARTABLE_MAX_M)
+def _limited_argv(key: str, size: int) -> list:
+    return key.split() + [str(size), *LIMITED[key][1]]
 
 
 @pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["sweep", "--max", str(SWEEP_MAX + 1)], "sweep --max %d" % (SWEEP_MAX + 1)),
-        (["sweep", "--max", str(10**8), "--jobs", "2"], "sweep --max %d" % 10**8),
-        (["table", "--n", str(TABLE_MAX_N + 1)], "table --n %d" % (TABLE_MAX_N + 1)),
-        (["table", "--n", str(10**8), "--json"], "table --n %d" % 10**8),
-        (["dims", "--n", str(DIMS_MAX_N + 1), "--target", "even"], "dims --n %d" % (DIMS_MAX_N + 1)),
-        (["dims", "--n", str(10**8), "--target", "odd"], "dims --n %d" % 10**8),
-        *(
-            (["verify", what, "--max-size", str(size)], "verify %s --max-size %d" % (what, size))
-            for what, limit in VERIFY_MAX_SIZE.items()
-            for size in (limit + 1, 10**8)
-        ),
-    ],
-    ids=" ".join,
+    "key, size",
+    [pytest.param(key, size, id="%s %s" % (key, label))
+     for key, limit in LIMITS.items() for size, label in ((limit + 1, "limit+1"), (10**8, "1e8"))],
 )
-def test_sweep_and_table_past_the_limit_are_refused_before_work(argv, message):
-    limits = {"sweep": SWEEP_MAX, "table": TABLE_MAX_N, "dims": DIMS_MAX_N, **VERIFY_MAX_SIZE}
-    limit = limits[argv[1] if argv[0] == "verify" else argv[0]]
-    src = str(Path(octachar.__file__).resolve().parent.parent)
+def test_past_the_limit_is_refused_before_work(key, size):
+    code = ("import sys; from octachar.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('octachar.'))); sys.exit(code)")
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from octachar.cli import main; code = main(sys.argv[1:]); "
-         "print('octachar.verify' in sys.modules or 'octachar.symfunc' in sys.modules); sys.exit(code)", *argv],
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
+    proc = _fresh(*_limited_argv(key, size), code=code)
     assert time.perf_counter() - start < 1
-    assert (proc.returncode, proc.stdout) == (2, "False\n")
-    assert proc.stderr == "error: %s exceeds the limit of %d\n" % (message, limit)
+    assert (proc.returncode, proc.stdout) == (2, "['octachar.cli']\n")
+    assert proc.stderr == "error: %s %d exceeds the limit of %d\n" % (key, size, LIMITS[key])
 
 
-@pytest.mark.parametrize(
-    "argv, target",
-    [
-        (["sweep", "--max", str(SWEEP_MAX)], "main_theorem_sweep"),
-        (["table", "--n", str(TABLE_MAX_N)], "build_table"),
-        (["dims", "--target", "even", "--n", str(DIMS_MAX_N)], "dimension_match"),
-        (["verify", "frobenius", "--max-size", str(VERIFY_MAX_SIZE["frobenius"])], "frobenius_sweep"),
-        (["verify", "even-fact", "--max-size", str(VERIFY_MAX_SIZE["even-fact"])], "factorization_even_sweep"),
-        (["verify", "odd-fact", "--max-size", str(VERIFY_MAX_SIZE["odd-fact"])], "factorization_odd_sweep"),
-    ],
-    ids=" ".join,
-)
-def test_sweep_and_table_at_the_limit_run(monkeypatch, capsys, argv, target):
+@pytest.mark.parametrize("key", LIMITS)
+def test_at_the_limit_reaches_its_layer(monkeypatch, capsys, key):
     calls = []
 
     def stop(n, *args, **kwargs):
         calls.append(n)
         raise ValueError("stopped")
 
-    monkeypatch.setattr("octachar.%s.%s" % ("symfunc" if argv[0] == "verify" else "verify", target), stop)
-    assert run(capsys, *argv) == (2, "", "error: stopped\n")
-    assert calls == [int(argv[-1])]
+    monkeypatch.setattr("octachar." + LIMITED[key][0], stop)
+    assert run(capsys, *_limited_argv(key, LIMITS[key])) == (2, "", "error: stopped\n")
+    assert calls == [LIMITS[key]]
 
 
 def test_target_choices_are_the_target_cores():
@@ -420,13 +380,7 @@ def test_target_choices_are_the_target_cores():
 
 def test_class_past_the_recursion_limit_prints_its_value():
     # the character layers are iterative: 1200 cycles take no stack frame each
-    src = str(Path(octachar.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))",
-         "char", "[1^1200]", "[1^1200]"],
-        capture_output=True, text=True, timeout=20, preexec_fn=_cap_memory,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
+    proc = _fresh("char", "[1^1200]", "[1^1200]", timeout=20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
@@ -442,6 +396,12 @@ _argv = st.one_of(
     st.tuples(st.just("census"), st.just("--m"), st.integers(-3, 6).map(str)),
     # sweeps beyond --max 3 take seconds each
     st.tuples(st.just("sweep"), st.just("--max"), st.integers(-3, 3).map(str)),
+    st.tuples(st.just("chartable"), st.integers(-3, 7).map(str)),
+    st.tuples(st.just("table"), st.just("--n"), st.integers(-3, 4).map(str)),
+    st.tuples(st.just("table"), st.just("--n"), st.integers(-3, 4).map(str), st.just("--json")),
+    st.tuples(st.just("dims"), st.just("--n"), st.integers(-3, 6).map(str), st.just("--target"), _target),
+    st.tuples(st.just("verify"), st.sampled_from(["frobenius", "even-fact", "odd-fact"]), st.just("--max-size"),
+              st.integers(-3, 3).map(str), st.just("--seed"), st.integers(-3, 99).map(str)),
 )
 
 
@@ -457,15 +417,13 @@ def test_fuzzed_arguments_never_end_in_a_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_unknown_command_fails():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_examples():
     """(argv, expected stdout) of each `octachar ... # -> value` line of the
     README's command-line block; a value ending in "..." is a prefix."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```", 2)[1]
     examples = []
     for line in block.splitlines():
@@ -487,6 +445,12 @@ def test_readme_examples(capsys, argv, value):
 
 def test_readme_examples_are_found():
     assert len(readme_examples()) == 7
+
+
+@pytest.mark.parametrize("key", LIMITS)
+def test_readme_quotes_each_limit(key):
+    text = " ".join(README.read_text(encoding="utf-8").split())  # a quote may wrap across lines
+    assert "`%s %d exceeds the limit of %d`" % (key, LIMITS[key] + 1, LIMITS[key]) in text
 
 
 COMMAND_LINES = [
