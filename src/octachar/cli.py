@@ -110,8 +110,6 @@ def _point_value(tok: str) -> "Fraction":
     its result could not be printed, and 1e200000000 would take minutes."""
     from fractions import Fraction
 
-    from .partitions import PartitionParseError
-
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     mantissa, _, exponent = tok.lower().partition("e")
     exponent = "".join(c for c in exponent if c.isdecimal()).lstrip("0")
@@ -120,11 +118,11 @@ def _point_value(tok: str) -> "Fraction":
         or len(exponent) > len(str(limit))
         or int(exponent or 0) > limit
     ):
-        raise PartitionParseError("point value %s exceeds %d digits" % (_excerpt(tok), limit))
+        raise ValueError("point value %s exceeds %d digits" % (_excerpt(tok), limit))
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise PartitionParseError("bad point value %s" % _excerpt(tok)) from None
+        raise ValueError("bad point value %s" % _excerpt(tok)) from None
 
 
 def _cmd_schur(args) -> int:

@@ -24,11 +24,12 @@ once and checks the identity at the integer point c = L x, where it holds
 exactly when it holds at x; the checks then build no Fraction, and a
 failure still prints the rational point x.  A mismatch refutes the identity;
 agreement is evidence, not a decision (Schwartz-Zippel bounds the chance
-that a false identity holds at a random point).  Both
-Littlewood factorizations take the shuffle sign and the 2-quotient of lam
-from one split of its bitmask into two runners (`partitions._two_quotient`,
-at its padding convention).  `det` stays as the independent rational route
-that the tests compare the kernel against.
+that a false identity holds at a random point).  Littlewood's factorization
+is one rule at (X, -X, x), `_littlewood`, and the check at (X, -X) is its
+x = 0 case; it takes the shuffle sign and the 2-quotient of lam from one split
+of its bitmask into two runners (`partitions._two_quotient`, at its padding
+convention).  `det` stays as the independent rational route that the tests
+compare the kernel against.
 
 Point constraints: none.  Both determinants are polynomials in the e_k or
 h_k, so any rational point will do, with repeated or zero coordinates, and a
@@ -211,42 +212,36 @@ def verify_frobenius(lam, values, *, weights=None) -> bool:
     return schur_eval(lam, values) * denominator == expansion.get(beta_mask(lam), 0)
 
 
-def verify_factorization_even(lam, xs, *, point=None, squares=None) -> bool:
-    """Littlewood factorization at a mirrored point (X, -X) in 2m variables.
-
-    With eps, q0, q1 the shuffle sign and 2-quotient of lam: at odd size, or
-    when the 2-core is not empty (eps = 0), the Schur value must vanish;
-    otherwise it is eps * s_{q0}(X^2) s_{q1}(X^2).  A sweep over many lam at
-    one X passes `point` = mirrored_point(xs) and `squares` = [x_i^2].
-    """
+def _littlewood(lam, xs, x, point, squares) -> bool:
+    """The rule of `verify_factorization_odd` at `point` and `squares`; a zero
+    coefficient (eps, or x at odd size) needs the value 0 and evaluates no quotient."""
     lam = Partition(lam)
-    value = schur_eval(lam, mirrored_point(xs) if point is None else point)
+    value = schur_eval(lam, point)
     eps, q0, q1 = _two_quotient(beta_mask(lam), lam.size)
-    if lam.size % 2 or not eps:
+    coefficient = eps * x if lam.size % 2 else eps
+    if not coefficient:
         return value == 0
-    if squares is None:
-        squares = [v * v for v in xs]
-    return value == eps * schur_eval(_from_mask(q0), squares) * schur_eval(_from_mask(q1), squares)
+    return value == coefficient * schur_eval(_from_mask(q0), squares[: len(xs)]) * schur_eval(_from_mask(q1), squares)
+
+
+def verify_factorization_even(lam, xs, *, point=None, squares=None) -> bool:
+    """Littlewood factorization at a mirrored point (X, -X) in 2m variables: the
+    odd check's rule at x = 0, as s_lam(X, -X) = s_lam(X, -X, 0), so s_lam
+    vanishes at odd size and is otherwise eps * s_{q0}(X^2) s_{q1}(X^2).  A sweep
+    over many lam at one X passes `point` = mirrored_point(xs) and `squares` = [x_i^2]."""
+    point = mirrored_point(xs) if point is None else point
+    return _littlewood(lam, xs, 0, point, [v * v for v in xs] if squares is None else squares)
 
 
 def verify_factorization_odd(lam, xs, x, *, point=None, squares=None) -> bool:
-    """Factorization at a mirrored-plus-one point (X, -X, x) in 2m+1 variables.
-
-    With eps, q0, q1 the shuffle sign and 2-quotient of lam: if the 2-core is
-    not () at even size or (1) at odd size (eps = 0), the Schur value must
-    vanish.  Otherwise it is eps * s_{q0}(X^2) s_{q1}(X^2, x^2), times x at
-    odd size.  A sweep over many lam at one (X, x) passes `point` =
-    mirrored_point_plus(xs, x) and `squares` = [x_1^2, ..., x_m^2, x^2].
-    """
-    lam = Partition(lam)
-    value = schur_eval(lam, mirrored_point_plus(xs, x) if point is None else point)
-    eps, q0, q1 = _two_quotient(beta_mask(lam), lam.size)
-    if not eps:
-        return value == 0
-    if squares is None:
-        squares = [v * v for v in (*xs, x)]
-    rhs = eps * schur_eval(_from_mask(q0), squares[:-1]) * schur_eval(_from_mask(q1), squares)
-    return value == (rhs * x if lam.size % 2 else rhs)
+    """Littlewood factorization at a mirrored-plus-one point (X, -X, x) in 2m+1
+    variables: with eps, q0, q1 the shuffle sign and 2-quotient of lam, s_lam is
+    eps * s_{q0}(X^2) s_{q1}(X^2, x^2), times x at odd size, where eps = 0 (so s_lam
+    vanishes) unless the 2-core is () at even size or (1) at odd size.  A sweep over
+    many lam at one (X, x) passes `point` = mirrored_point_plus(xs, x) and `squares` =
+    [x_1^2, ..., x_m^2, x^2]."""
+    point = mirrored_point_plus(xs, x) if point is None else point
+    return _littlewood(lam, xs, x, point, [v * v for v in (*xs, x)] if squares is None else squares)
 
 
 def random_rationals(count: int, rng: random.Random, max_height: int = 20) -> list:

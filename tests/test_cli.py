@@ -1,9 +1,6 @@
 import json
-import os
 import random
-import resource
 import shlex
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -11,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import octachar
+from fresh import fresh
 from octachar import cli, partitions
 from octachar.cli import LIMITS, main
 from octachar.partitions import format_partition, parse_partition, partitions_of
@@ -133,6 +130,16 @@ class TestSchur:
         assert "schur value exceeds 100000 digits" in err
         assert "set_int_max_str_digits" not in err
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("lam, at, digits", [("[41]", "1e2439", 100_000), ("[1]", "1e4300", 4301)],
+                             ids=["result-at-the-output-cap", "exponent-at-the-digit-limit"])
+    def test_value_at_its_cap_prints(self, capsys, lam, at, digits):
+        assert run(capsys, "schur", lam, "--at", at) == (0, "1" + "0" * (digits - 1) + "\n", "")
+
+    def test_result_one_digit_past_the_output_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "schur", "[25]", "--at", "1e4000")  # 10^100000 has 100,001 digits
+        assert (code, out) == (2, "")
+        assert "schur value exceeds 100000 digits" in err
 
     def test_output_cap_counts_numerator_and_denominator_together(self, capsys):
         # 51,999 + 50,581 digits: each part is under the cap, the value is not
@@ -289,26 +296,12 @@ class TestCensusSweepDims:
         assert out == "MISMATCH: B_2 dimensions differ from the |character| multiset\n"
 
 
-SRC = str(Path(octachar.__file__).resolve().parent.parent)
 RUN_MAIN = "import sys; from octachar.cli import main; sys.exit(main(sys.argv[1:]))"
-
-
-def _cap_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # an eager expansion fails, not the host
-
-
-def _fresh(*argv, code=RUN_MAIN, timeout=60) -> subprocess.CompletedProcess:
-    """`python -c code *argv` in a fresh interpreter, with octachar's source on
-    the path and its address space capped at 1 GB."""
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=timeout, preexec_fn=_cap_memory,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
-    )
 
 
 def test_huge_exponent_is_rejected_before_expansion():
     start = time.perf_counter()
-    proc = _fresh("char", "[1^1000000000]", "[1]")
+    proc = fresh(RUN_MAIN, "char", "[1^1000000000]", "[1]")
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2
     assert "more than 10000 parts" in proc.stderr
@@ -318,7 +311,7 @@ def test_huge_exponent_is_rejected_before_expansion():
 @pytest.mark.parametrize("value", ["1e20000000", "1e200000000", "1E-99999", "1/" + "3" * 5000])
 def test_huge_point_value_is_rejected_before_conversion(value):
     start = time.perf_counter()
-    proc = _fresh("schur", "[1]", "--at", "1," + value)
+    proc = fresh(RUN_MAIN, "schur", "[1]", "--at", "1," + value)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2
     assert "exceeds 4300 digits" in proc.stderr
@@ -354,7 +347,7 @@ def test_past_the_limit_is_refused_before_work(key, size):
     code = ("import sys; from octachar.cli import main; code = main(sys.argv[1:]); "
             "print(sorted(m for m in sys.modules if m.startswith('octachar.'))); sys.exit(code)")
     start = time.perf_counter()
-    proc = _fresh(*_limited_argv(key, size), code=code)
+    proc = fresh(code, *_limited_argv(key, size))
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout) == (2, "['octachar.cli']\n")
     assert proc.stderr == "error: %s %d exceeds the limit of %d\n" % (key, size, LIMITS[key])
@@ -380,7 +373,7 @@ def test_target_choices_are_the_target_cores():
 
 def test_class_past_the_recursion_limit_prints_its_value():
     # the character layers are iterative: 1200 cycles take no stack frame each
-    proc = _fresh("char", "[1^1200]", "[1^1200]", timeout=20)
+    proc = fresh(RUN_MAIN, "char", "[1^1200]", "[1^1200]", timeout=20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 

@@ -7,16 +7,12 @@ that has loaded nothing else.
 """
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import octachar
+from fresh import fresh
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("partitions", "census", "characters", "hyperoctahedral", "symfunc", "verify")
 EXPORTS = {
     "BiPartition", "BnClass", "CorrespondenceRow", "Partition", "PartitionParseError", "SignCensus",
@@ -37,11 +33,7 @@ MOVED_TO_ORACLES = (
 
 
 def _run(code: str) -> str:
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
-    )
+    proc = fresh(code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -9,14 +9,10 @@ blamed on octachar.  A run's shutdown is a fixed cost too: `cli` freezes the
 collector at exit, and the library leaves shutdown as it is.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from fresh import fresh
+
 WATCHED = {"multiprocessing", "dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
 LIST_MODULES = "print(' '.join(sorted(sys.modules)))"
 RUN_MAIN = "import sys; from octachar.cli import main; code = main(sys.argv[1:]); %s; sys.exit(code)" % LIST_MODULES
@@ -29,18 +25,9 @@ HYPEROCTAHEDRAL = CHARACTERS | {"octachar.hyperoctahedral"}
 HARNESS = HYPEROCTAHEDRAL | {"octachar.verify"}
 
 
-def _python(*args) -> subprocess.CompletedProcess:
-    """`python -S -c ...` with octachar's source on the path."""
-    return subprocess.run(
-        [sys.executable, "-S", "-c", *args],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
-    )
-
-
 def _loaded(*args) -> set:
     """Modules in sys.modules at the end of `python -S -c ...`, read off its last stdout line."""
-    proc = _python(*args)
+    proc = fresh(*args)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
@@ -151,5 +138,5 @@ PRINT_FROZEN_AT_EXIT = "import atexit, gc; atexit.register(lambda: print(gc.get_
     ids=["command", "usage error", "library"],
 )
 def test_only_the_cli_freezes_the_collector_at_exit(code, returncode, frozen):
-    proc = _python(PRINT_FROZEN_AT_EXIT + code)
+    proc = fresh(PRINT_FROZEN_AT_EXIT + code)
     assert (proc.returncode, proc.stdout.splitlines()[-1]) == (returncode, str(frozen)), proc.stderr
